@@ -19,6 +19,7 @@ __all__ = [
     "ServiceOverloadedError",
     "DeadlineExceededError",
     "ServiceDrainingError",
+    "ShardUnavailableError",
     "UnknownWheelError",
     "ProtocolError",
     "PRAMError",
@@ -95,6 +96,17 @@ class ServiceDrainingError(ServiceError):
     the drain began still completes normally; requests arriving after it
     get this typed refusal instead of a dropped connection, so clients
     can fail over without ambiguity about in-flight state.
+    """
+
+
+class ShardUnavailableError(ServiceError):
+    """The cluster shard that owns a request's wheel is gone.
+
+    Raised (as an ``error`` protocol response) for every request
+    outstanding on a shard when its pipe breaks, and for every request
+    routed to that shard afterwards, so a dead shard fails its requests
+    promptly instead of leaving them waiting forever.  The cluster does
+    not respawn the shard.
     """
 
 

@@ -6,8 +6,19 @@ plus :class:`~repro.service.scheduler.MicroBatchScheduler` on its own
 event loop — so draws for a wheel batch densely on the core that owns
 it while the front end only routes, frames, and correlates.
 
-The three structural pieces:
+The four structural pieces:
 
+* **The batched shard hop** (:class:`_Hop`): each end of a shard's
+  pipe keeps an outbox.  Everything queued during one event-loop tick
+  leaves as a single ``("batch", items, draws)`` message, flushed by
+  one ``loop.call_soon`` callback: the front end batches the requests
+  its clients issued in that tick, the shard batches the replies its
+  micro-batcher completed.  Draw replies travel as one concatenated
+  ``int64`` buffer that the front end slices back apart.  Flushing at
+  the end of the tick adds no waiting and no knob; under load it turns
+  two pickled messages per request into two per *tick*.  If a shard's
+  pipe breaks, every request outstanding on it fails with the typed
+  :class:`~repro.errors.ShardUnavailableError` instead of hanging.
 * **Consistent-hash routing** (:class:`HashRing`): every ``wheel_id``
   maps to exactly one shard, so a wheel compiles on one worker and all
   its concurrent draws coalesce there instead of diluting across the
@@ -34,16 +45,17 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import functools
 import hashlib
 import multiprocessing as mp
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ServiceDrainingError, ServiceError
-from repro.service.metrics import ServiceMetrics
+from repro.errors import ServiceDrainingError, ServiceError, ShardUnavailableError
+from repro.service.metrics import BatchSizeHistogram, ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     STRUCTURED_ERRORS,
@@ -100,6 +112,108 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
+# The shard hop
+# ----------------------------------------------------------------------
+
+
+class _Hop:
+    """One end of a shard pipe, batched once per event-loop tick each way.
+
+    :meth:`post` queues an item; the first post of a tick schedules one
+    :meth:`flush` with ``loop.call_soon``, so the flush runs after every
+    callback already due in that tick and sends everything queued as a
+    single ``("batch", items, draws)`` message.  ``draws`` concatenates
+    the arrays of :meth:`post_draws` items, which travel as
+    ``("draws", tag, n)``, so a batch of draw replies pickles as one
+    ``int64`` buffer (``None`` when the batch carries no draws).
+
+    A daemon thread (``reader``) blocks on ``conn.recv`` and hands each
+    batch to ``deliver(items, draws)`` on the loop.  Writes happen on the
+    loop and may block while the pipe is full; that cannot deadlock,
+    because the peer's reads never wait for the peer's loop.  End of
+    file, or a failed send, calls ``lost(exc)`` once, on the loop, and
+    drops the outbox.  The reader ends at end of file: join it before
+    closing ``conn``, or it may read from a later pipe that reuses the
+    descriptor.  ``sent`` and ``received`` count items per message.
+    """
+
+    __slots__ = (
+        "conn", "loop", "deliver", "lost", "items", "arrays", "dead",
+        "sent", "received", "reader",
+    )
+
+    def __init__(
+        self,
+        conn,
+        loop: "asyncio.AbstractEventLoop",
+        deliver: Callable[[list, Optional[np.ndarray]], None],
+        lost: Callable[[BaseException], None],
+        name: str,
+    ) -> None:
+        self.conn = conn
+        self.loop = loop
+        self.deliver = deliver
+        self.lost = lost
+        self.items: list = []
+        self.arrays: List[np.ndarray] = []
+        self.dead = False
+        self.sent = BatchSizeHistogram()
+        self.received = BatchSizeHistogram()
+        self.reader = threading.Thread(target=self._read, name=name, daemon=True)
+        self.reader.start()
+
+    def post(self, item: tuple) -> None:
+        if not self.items:
+            self.loop.call_soon(self.flush)
+        self.items.append(item)
+
+    def post_draws(self, tag: int, draws: np.ndarray) -> None:
+        self.post(("draws", tag, len(draws)))
+        self.arrays.append(draws)
+
+    def flush(self) -> None:
+        items, self.items = self.items, []
+        if not items:
+            return
+        arrays, self.arrays = self.arrays, []
+        draws = np.concatenate(arrays) if arrays else None
+        self.sent.observe(len(items))
+        try:
+            self.conn.send(("batch", items, draws))
+        except OSError as exc:
+            self._lose(exc)
+
+    def _receive(self, msg) -> None:
+        _, items, draws = msg
+        self.received.observe(len(items))
+        self.deliver(items, draws)
+
+    def _lose(self, exc: BaseException) -> None:
+        self.items.clear()
+        self.arrays.clear()
+        if not self.dead:
+            self.dead = True
+            self.lost(exc)
+
+    def _read(self) -> None:
+        while True:
+            try:
+                msg = self.conn.recv()
+            except Exception as exc:  # noqa: BLE001 - EOF, reset, or garbage
+                self._call_soon(self._lose, exc)
+                return
+            if not self._call_soon(self._receive, msg):
+                return
+
+    def _call_soon(self, callback, arg) -> bool:
+        try:
+            self.loop.call_soon_threadsafe(callback, arg)
+        except RuntimeError:  # loop already closed
+            return False
+        return True
+
+
+# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 
@@ -136,92 +250,92 @@ async def _worker_loop(
     policy: str,
     store_path: Optional[str],
 ) -> None:
-    """Receive commands, serve them through the shard's own scheduler.
+    """Receive command batches, serve them through the shard's own scheduler.
 
-    Concurrency model: a pump thread blocks on the pipe and hands each
-    command to the event loop, where it becomes a task awaiting
-    ``scheduler.draw`` — so commands arriving back-to-back coalesce in
+    Concurrency model: the shard's :class:`_Hop` reader thread hands
+    each received batch to the event loop, where every item becomes a
+    task awaiting ``scheduler.draw`` (or ``update``/``register``).  The
+    items of one batch, like those of consecutive batches, coalesce in
     the shard's micro-batcher exactly as concurrent TCP clients do in a
-    single-process service.
+    single-process service.  Each finished task posts its reply to the
+    hop's outbox, so the replies of one micro-batch flush leave in one
+    message.  ``stop`` closes the scheduler, waits for every reply task,
+    sends its acknowledgement last, and ends the loop; so does losing
+    the pipe.
     """
     store = SharedWheelStore(path=store_path) if store_path else None
     metrics = ServiceMetrics()
     registry = WheelRegistry(max_wheels=max_wheels, policy=policy, store=store)
     scheduler = MicroBatchScheduler(registry, config, seed=seed, metrics=metrics)
     loop = asyncio.get_running_loop()
-    inbox: "asyncio.Queue" = asyncio.Queue()
-
-    def pump() -> None:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                msg = None
-            try:
-                loop.call_soon_threadsafe(inbox.put_nowait, msg)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                return
-            if msg is None or msg[0] == "stop":
-                return
-
-    threading.Thread(target=pump, name=f"shard{shard_id}-pump", daemon=True).start()
-
+    finished = loop.create_future()
     tasks: set = set()
 
-    async def serve_one(msg) -> None:
-        op, tag = msg[0], msg[1]
+    async def serve_one(item) -> None:
+        op, tag = item[0], item[1]
         try:
             if op == "draw":
-                _, _, wheel_id, n, req_seed, deadline_us = msg
+                _, _, wheel_id, n, req_seed, deadline_us = item
                 draws = await scheduler.draw(
                     wheel_id, n, seed=req_seed, deadline_us=deadline_us
                 )
-                conn.send(("ok", tag, draws))
-            elif op == "register":
-                _, _, values, method, reg_policy, backend = msg
+                hop.post_draws(tag, draws)
+                return
+            if op == "register":
+                _, _, values, method, reg_policy, backend = item
                 wheel_id, cached = registry.register(
                     values, method=method, policy=reg_policy, backend=backend
                 )
-                conn.send(("ok", tag, {"wheel": wheel_id, "cached": cached}))
+                reply = {"wheel": wheel_id, "cached": cached}
             elif op == "update":
-                _, _, wheel_id, indices, values = msg
+                _, _, wheel_id, indices, values = item
                 new_id, info = await scheduler.update(wheel_id, indices, values)
-                conn.send(("ok", tag, {"wheel": new_id, **info}))
+                reply = {"wheel": new_id, **info}
             elif op == "stats":
-                snapshot = metrics.snapshot(
+                reply = metrics.snapshot(
                     extra={
                         "shard": shard_id,
                         "queued": scheduler.queued,
                         "registry": registry.stats(),
                     }
                 )
-                conn.send(("ok", tag, snapshot))
             else:
-                conn.send(("err", tag, "ProtocolError", f"unknown worker op {op!r}"))
-        except BaseException as exc:  # noqa: BLE001 - answered, not raised
-            conn.send(("err", tag, type(exc).__name__, str(exc)))
+                hop.post(("err", tag, "ProtocolError", f"unknown worker op {op!r}"))
+                return
+            hop.post(("ok", tag, reply))
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            hop.post(("err", tag, type(exc).__name__, str(exc)))
 
-    while True:
-        msg = await inbox.get()
-        if msg is None:
-            break
-        if msg[0] == "stop":
-            # Flush in-flight micro-batches, let their reply tasks run,
-            # then acknowledge — the parent holds the drain barrier on
-            # this ack, which is what makes shutdown lossless.
-            await scheduler.close()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            try:
-                conn.send(("ok", msg[1], {"shard": shard_id}))
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-            break
-        task = loop.create_task(serve_one(msg))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-    if store is not None:
-        store.close()
+    async def stop(tag) -> None:
+        # Flush in-flight micro-batches, let their reply tasks run, then
+        # acknowledge last: the parent holds the drain barrier on this
+        # ack, which is what makes shutdown lossless.
+        await scheduler.close()
+        pending = tasks - {asyncio.current_task()}
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        hop.post(("ok", tag, {"shard": shard_id}))
+        hop.flush()
+        if not finished.done():
+            finished.set_result(None)
+
+    def deliver(items, _draws) -> None:
+        for item in items:
+            coro = stop(item[1]) if item[0] == "stop" else serve_one(item)
+            task = loop.create_task(coro)
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+
+    def lost(_exc) -> None:
+        if not finished.done():
+            finished.set_result(None)
+
+    hop = _Hop(conn, loop, deliver, lost, name=f"shard{shard_id}-pump")
+    try:
+        await finished
+    finally:
+        if store is not None:
+            store.close()
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +346,7 @@ async def _worker_loop(
 class _Shard:
     """Parent-side handle on one worker: pipe, process, in-flight map."""
 
-    __slots__ = ("index", "conn", "proc", "outstanding", "routed", "reader")
+    __slots__ = ("index", "conn", "proc", "outstanding", "routed", "hop", "lost")
 
     def __init__(self, index: int, conn, proc) -> None:
         self.index = index
@@ -240,7 +354,9 @@ class _Shard:
         self.proc = proc
         self.outstanding: Dict[int, "asyncio.Future"] = {}
         self.routed = 0
-        self.reader: Optional[threading.Thread] = None
+        self.hop: Optional[_Hop] = None
+        #: Why the shard's pipe broke; ``None`` while it is healthy.
+        self.lost: Optional[str] = None
 
 
 class ClusterService:
@@ -249,8 +365,11 @@ class ClusterService:
     Exposes the same transport-neutral ``handle_request`` surface, so
     every transport (binary frames, JSON-lines TCP, stdio) works over a
     cluster unchanged.  Construct it *before* any event loop is running
-    (workers are forked/spawned in ``__init__``); the reader threads
-    attach lazily to the loop of the first served request.
+    (workers are forked/spawned in ``__init__``).  Each shard's batched
+    hop (:class:`_Hop`: outbox, per-tick flush, reply reader thread)
+    attaches to the loop of the first served request, and the service
+    must be served from that loop only.  A request whose shard has died
+    gets the typed :class:`~repro.errors.ShardUnavailableError`.
 
     Parameters
     ----------
@@ -325,59 +444,58 @@ class ClusterService:
 
     # ------------------------------------------------------------------
     def _ensure_started(self) -> None:
-        """Attach reader threads to the running loop (idempotent)."""
+        """Attach every shard's hop to the running loop (idempotent)."""
         loop = asyncio.get_running_loop()
-        if self._loop is None:
-            self._loop = loop
-        elif self._loop is not loop:
+        if self._loop is loop:
+            return
+        if self._loop is not None:
             raise ServiceError(
                 "ClusterService is bound to the event loop of its first "
                 "request; serve it from one loop"
             )
+        self._loop = loop
         for shard in self._shards:
-            if shard.reader is None:
-                shard.reader = threading.Thread(
-                    target=self._read_replies,
-                    args=(shard, loop),
-                    name=f"shard{shard.index}-replies",
-                    daemon=True,
-                )
-                shard.reader.start()
+            shard.hop = _Hop(
+                shard.conn,
+                loop,
+                functools.partial(self._resolve, shard),
+                functools.partial(self._shard_lost, shard),
+                name=f"shard{shard.index}-replies",
+            )
 
-    def _read_replies(self, shard: _Shard, loop) -> None:
-        while True:
-            try:
-                msg = shard.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                loop.call_soon_threadsafe(self._resolve, shard, msg)
-            except RuntimeError:  # pragma: no cover - loop closed at exit
-                break
+    def _resolve(self, shard: _Shard, items: list, draws) -> None:
+        offset = 0
+        for item in items:
+            kind, tag = item[0], item[1]
+            if kind == "draws":
+                result = draws[offset : offset + item[2]]
+                offset += item[2]
+            future = shard.outstanding.pop(tag, None)
+            if future is None or future.done():  # pragma: no cover - late reply
+                continue
+            if kind == "err":
+                exc_type = STRUCTURED_ERRORS.get(item[2], ServiceError)
+                future.set_exception(exc_type(item[3]))
+            else:
+                future.set_result(result if kind == "draws" else item[2])
 
-    def _resolve(self, shard: _Shard, msg) -> None:
-        kind, tag = msg[0], msg[1]
-        future = shard.outstanding.pop(tag, None)
-        if future is None or future.done():  # pragma: no cover - late reply
-            return
-        if kind == "ok":
-            future.set_result(msg[2])
-        else:
-            name, message = msg[2], msg[3]
-            exc_type = STRUCTURED_ERRORS.get(name, ServiceError)
-            future.set_exception(exc_type(message))
+    def _shard_lost(self, shard: _Shard, exc: BaseException) -> None:
+        """Fail everything outstanding on a shard whose pipe broke."""
+        shard.lost = f"shard {shard.index} is unavailable ({type(exc).__name__})"
+        pending, shard.outstanding = shard.outstanding, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(ShardUnavailableError(shard.lost))
 
     async def _call(self, shard: _Shard, op: str, *payload: Any) -> Any:
         self._ensure_started()
+        if shard.lost is not None:
+            raise ShardUnavailableError(shard.lost)
         self._tag += 1
         tag = self._tag
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         shard.outstanding[tag] = future
-        try:
-            shard.conn.send((op, tag, *payload))
-        except BaseException:
-            shard.outstanding.pop(tag, None)
-            raise
+        shard.hop.post((op, tag, *payload))
         return await future
 
     def _shard_for(self, wheel_id: str) -> _Shard:
@@ -499,11 +617,18 @@ class ClusterService:
     async def _shard_stats(self) -> List[Dict[str, Any]]:
         if self._closed:
             return []
-        return list(
-            await asyncio.gather(
-                *(self._call(shard, "stats") for shard in self._shards)
-            )
-        )
+        return list(await asyncio.gather(*map(self._shard_snapshot, self._shards)))
+
+    async def _shard_snapshot(self, shard: _Shard) -> Dict[str, Any]:
+        try:
+            snapshot = await self._call(shard, "stats")
+        except ShardUnavailableError as exc:
+            snapshot = {"shard": shard.index, "unavailable": str(exc)}
+        snapshot["hop"] = {
+            "to_shard": shard.hop.sent.snapshot(),
+            "from_shard": shard.hop.received.snapshot(),
+        }
+        return snapshot
 
     async def stats(self) -> Dict[str, Any]:
         """The ``stats`` RPC: routing table view plus per-shard counters.
@@ -511,7 +636,10 @@ class ClusterService:
         Per shard: queue depth, batch-size distribution, registry
         hit/miss and compile-dedupe (``store_hits`` vs ``compiles``)
         counters — enough for a bench to attribute scaling losses to
-        routing skew vs batching dilution.
+        routing skew vs batching dilution — plus ``hop``, the items per
+        pipe message in each direction (``to_shard``, ``from_shard``).
+        A dead shard's entry holds only ``shard``, ``unavailable`` (the
+        reason) and ``hop``.
         """
         shards = await self._shard_stats()
         routed = {str(s.index): s.routed for s in self._shards}
@@ -564,6 +692,12 @@ class ClusterService:
             if shard.proc.is_alive():
                 shard.proc.terminate()
                 shard.proc.join(timeout=2.0)
+            if shard.proc.is_alive():  # pragma: no cover - stopped, not dying
+                shard.proc.kill()
+                shard.proc.join(timeout=2.0)
+            if shard.hop is not None:
+                # The reader ends on the EOF the dead shard leaves behind.
+                shard.hop.reader.join(timeout=2.0)
             try:
                 shard.conn.close()
             except OSError:  # pragma: no cover

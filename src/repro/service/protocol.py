@@ -59,6 +59,7 @@ from repro.errors import (
     ServiceDrainingError,
     ServiceError,
     ServiceOverloadedError,
+    ShardUnavailableError,
     UnknownMethodError,
     UnknownWheelError,
 )
@@ -92,6 +93,7 @@ STRUCTURED_ERRORS = {
         ServiceDrainingError,
         ServiceError,
         ServiceOverloadedError,
+        ShardUnavailableError,
         UnknownMethodError,
         UnknownWheelError,
         ValueError,

@@ -1,13 +1,20 @@
-"""Sharded cluster: routing stability, dedupe, determinism, drain."""
+"""Sharded cluster: routing stability, dedupe, determinism, drain, and
+the batched shard hop (mixed batches, large messages, dead shards)."""
 
 import asyncio
+import os
+import signal
 
 import numpy as np
 import pytest
 
+from repro.errors import ShardUnavailableError
 from repro.rng.streams import request_stream
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
+from repro.service.protocol import raise_structured
 from repro.service.registry import WheelRegistry, digest_key, wheel_digest
+from repro.service.scheduler import BatchConfig
+from repro.service.server import SelectionService
 
 
 def _ids(count):
@@ -217,8 +224,9 @@ class TestClusterService:
         assert set(stats["routed"]) == {"0", "1"}
         assert len(stats["shards"]) == 2
         for shard in stats["shards"]:
-            assert {"shard", "queued", "registry", "batch_sizes"} <= set(shard)
+            assert {"shard", "queued", "registry", "batch_sizes", "hop"} <= set(shard)
             assert {"compiles", "store_hits"} <= set(shard["registry"])
+            assert set(shard["hop"]) == {"to_shard", "from_shard"}
         # Exactly one compile happened across the pool for the one wheel.
         assert sum(s["registry"]["compiles"] for s in stats["shards"]) == 1
         assert metrics["workers"] == 2 and len(metrics["shards"]) == 2
@@ -284,3 +292,212 @@ class TestClusterService:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             ClusterService(workers=0)
+
+
+def _same_response(a, b):
+    assert a.keys() == b.keys(), (a, b)
+    for key, value in a.items():
+        if key == "draws":
+            assert np.asarray(value).dtype == np.asarray(b[key]).dtype
+            assert np.asarray(value).tobytes() == np.asarray(b[key]).tobytes()
+        elif key != "message":
+            assert value == b[key], (key, a, b)
+
+
+class TestBatchedHop:
+    """One pipe message per shard per event-loop tick, in both directions."""
+
+    MAX_DRAWS = 64
+
+    def _script(self, wheels, minted):
+        """One tick of mixed traffic; ``minted`` is the update's new id."""
+        requests = [
+            {"op": "draw", "wheel": wid, "n": 5 + k, "seed": 100 + k, "id": k}
+            for k, wid in enumerate(wheels)
+        ]
+        requests += [
+            {"op": "register", "fitness": np.arange(1.0, 30.0), "id": "reg"},
+            {
+                "op": "update",
+                "wheel": wheels[0],
+                "indices": [0, 3],
+                "values": [9.0, 0.5],
+                "id": "upd",
+            },
+            {"op": "draw", "wheel": minted, "n": 7, "seed": 5, "id": "minted"},
+            {"op": "draw", "wheel": "w1:00ff00ff00ff00ff", "n": 1, "id": "unknown"},
+            {"op": "draw", "wheel": wheels[1], "n": self.MAX_DRAWS + 1, "id": "big"},
+            {"op": "draw", "wheel": wheels[2], "n": 3, "seed": 9, "id": "again"},
+        ]
+        return requests
+
+    def _serve(self, service, minted=None):
+        async def flow():
+            wheels = []
+            for k in range(4):
+                reg = await service.handle_request(
+                    {"op": "register", "fitness": np.linspace(1.0, 2.0, 40) ** (k + 1)}
+                )
+                wheels.append(reg["wheel"])
+            if minted is None:
+                update = await service.handle_request(
+                    {
+                        "op": "update",
+                        "wheel": wheels[0],
+                        "indices": [0, 3],
+                        "values": [9.0, 0.5],
+                    }
+                )
+                return update["wheel"]
+            script = self._script(wheels, minted)
+            # Every request starts in one tick, so each shard gets one message.
+            responses = await asyncio.gather(*map(service.handle_request, script))
+            stats = (await service.handle_request({"op": "stats"}))["stats"]
+            if isinstance(service, ClusterService):
+                await service.close()
+            return script, responses, stats
+
+        return asyncio.run(asyncio.wait_for(flow(), 60.0))
+
+    def test_mixed_batch_is_answered_item_by_item(self):
+        config = BatchConfig(max_request_draws=self.MAX_DRAWS)
+        minted = self._serve(SelectionService(seed=11, config=config))
+        script, reference, _ = self._serve(
+            SelectionService(seed=11, config=config), minted
+        )
+        by_id = {r["id"]: r for r in reference}
+        assert by_id["upd"]["wheel"] == minted
+        assert by_id["minted"]["status"] == "ok"
+        assert by_id["unknown"]["error"] == "UnknownWheelError"
+        assert by_id["big"]["error"] == "ValueError"
+        assert sum(r["status"] == "ok" for r in reference) == len(script) - 2
+        for workers in (1, 3):
+            cluster = ClusterService(workers=workers, seed=11, config=config)
+            _, responses, stats = self._serve(cluster, minted)
+            for want, got in zip(reference, responses):
+                _same_response(want, got)
+            if workers == 1:
+                sizes = stats["shards"][0]["hop"]["to_shard"]["sizes"]
+                assert sizes.get(str(len(script))) == 1, sizes
+
+    def test_large_messages_in_both_directions_do_not_deadlock(self):
+        cluster = ClusterService(workers=1, seed=3)
+        rng = np.random.default_rng(0)
+
+        def stuck(*_):
+            raise TimeoutError("pipe writes deadlocked")
+
+        # A loop blocked inside a pipe write never reaches wait_for's
+        # timer; the alarm interrupts the write and fails the test.
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(60)
+
+        async def flow():
+            reg = await cluster.handle_request(
+                {"op": "register", "fitness": np.arange(1.0, 65.0)}
+            )
+            pending = []
+            for k in range(2):
+                # DRAW(1 << 20) replies leave the shard while the next
+                # 1M-item registration is still being written to it.
+                pending += [
+                    asyncio.ensure_future(
+                        cluster.handle_request(
+                            {"op": "draw", "wheel": reg["wheel"], "n": 1 << 20, "seed": k}
+                        )
+                    )
+                    for _ in range(2)
+                ]
+                await asyncio.sleep(0)
+                pending.append(
+                    asyncio.ensure_future(
+                        cluster.handle_request(
+                            {"op": "register", "fitness": rng.uniform(0.5, 2.0, 1_000_000)}
+                        )
+                    )
+                )
+            responses = await asyncio.gather(*pending)
+            await cluster.close()
+            return responses
+
+        try:
+            responses = asyncio.run(asyncio.wait_for(flow(), 30.0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            cluster._terminate()
+        assert [r["status"] for r in responses] == ["ok"] * 6
+        draws = [r for r in responses if "draws" in r]
+        assert [len(r["draws"]) for r in draws] == [1 << 20] * 4
+        assert sum("wheel" in r for r in responses) == 2
+
+    def test_sigkilled_shard_fails_every_request_typed(self):
+        cluster = ClusterService(workers=1, seed=0)
+
+        async def flow():
+            reg = await cluster.handle_request(
+                {"op": "register", "fitness": list(range(1, 65))}
+            )
+            wid = reg["wheel"]
+            pid = cluster._shards[0].proc.pid
+            os.kill(pid, signal.SIGSTOP)  # hold every draw in flight
+            in_flight = [
+                asyncio.ensure_future(
+                    cluster.handle_request(
+                        {"op": "draw", "wheel": wid, "n": 4, "seed": i, "id": i}
+                    )
+                )
+                for i in range(32)
+            ]
+            await asyncio.sleep(0.05)
+            assert not any(task.done() for task in in_flight)
+            os.kill(pid, signal.SIGKILL)
+            responses = await asyncio.wait_for(asyncio.gather(*in_flight), 5.0)
+            late = await asyncio.wait_for(
+                cluster.handle_request({"op": "draw", "wheel": wid, "n": 1, "id": "late"}),
+                5.0,
+            )
+            stats = (await cluster.handle_request({"op": "stats"}))["stats"]
+            await cluster.close()
+            return responses, late, stats
+
+        responses, late, stats = asyncio.run(asyncio.wait_for(flow(), 60.0))
+        assert "ShardUnavailableError" not in stats["shards"][0]["unavailable"]
+        assert stats["shards"][0]["unavailable"].startswith("shard 0")
+        assert [r["id"] for r in responses] == list(range(32))
+        for response in responses + [late]:
+            assert response["status"] == "error"
+            assert response["error"] == "ShardUnavailableError"
+        with pytest.raises(ShardUnavailableError):
+            raise_structured(late)
+        assert not cluster._shards[0].outstanding
+        assert not cluster._shards[0].proc.is_alive()
+
+    def test_failed_send_fails_the_batch_typed(self):
+        cluster = ClusterService(workers=1, seed=0)
+
+        def broken(_obj):
+            raise BrokenPipeError("pipe closed")
+
+        async def flow():
+            reg = await cluster.handle_request(
+                {"op": "register", "fitness": [1.0, 2.0, 3.0]}
+            )
+            cluster._shards[0].conn.send = broken
+            responses = await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        cluster.handle_request(
+                            {"op": "draw", "wheel": reg["wheel"], "n": 2, "id": i}
+                        )
+                        for i in range(8)
+                    )
+                ),
+                5.0,
+            )
+            os.kill(cluster._shards[0].proc.pid, signal.SIGKILL)
+            await cluster.close()
+            return responses
+
+        responses = asyncio.run(asyncio.wait_for(flow(), 60.0))
+        assert {r["error"] for r in responses} == {"ShardUnavailableError"}
