@@ -14,7 +14,8 @@ kernel runs at ~110 ns/draw vs ~7000 ns/draw for the registry key race
 import json
 import pathlib
 
-from repro.engine.bench import render_bench, run_bench, validate_bench, write_bench
+from repro.bench.record import write_report
+from repro.engine.bench import render_bench, run_bench, validate_bench
 
 #: The acceptance gate from the issue: n=1000, 1e6 draws, one core.
 GATE_N = 1000
@@ -42,7 +43,7 @@ def test_engine_speedup_gate(benchmark):
     )
 
     # Refresh the committed record and confirm it round-trips.
-    path = write_bench(report, str(_REPO_ROOT / "BENCH_engine.json"))
+    path = write_report(report, str(_REPO_ROOT / "BENCH_engine.json"), validate_bench)
     with open(path, encoding="utf-8") as fh:
         validate_bench(json.load(fh))
 

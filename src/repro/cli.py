@@ -1,18 +1,22 @@
-"""Command-line entry point: ``python -m repro <experiment> [options]``.
+"""Command-line entry point: ``python -m repro <command> [options]``.
 
-Runs the paper-reproduction experiments registered in
-:data:`repro.bench.experiments.EXPERIMENTS` and prints their tables, the
-selection-engine benchmark (``python -m repro bench-engine``, recorded in
-``BENCH_engine.json``), the race-lab benchmark (``python -m repro
-bench-race``, recorded in ``BENCH_race.json``), the end-to-end ACO
-benchmark (``python -m repro bench-aco``, recorded in
-``BENCH_aco.json``), the differential degenerate-wheel audit
-(``python -m repro audit``, exit 0 iff zero violations across every
-backend), the async selection service (``python -m repro serve``,
-JSON-lines over TCP or stdio), the serving benchmark (``python -m
-repro bench-serve``, recorded in ``BENCH_serve.json``), and the
-selection-workloads benchmark (``python -m repro bench-select``,
-recorded in ``BENCH_select.json``).
+Commands:
+
+* the paper-reproduction experiments registered in
+  :data:`repro.bench.experiments.EXPERIMENTS` (``all`` runs every one),
+  printed as tables or ``--json``;
+* ``audit`` — the differential degenerate-wheel audit (exit 0 iff zero
+  violations across every backend);
+* ``serve`` — the async selection service (binary frames + JSON-lines
+  over TCP, or JSON-lines over stdio; sharded with ``--workers N``);
+* the benches, each recording one ``BENCH_*.json`` through the
+  :data:`BENCHES` table: ``bench-engine`` (compiled selection engine),
+  ``bench-race`` (race kernel vs Theorem 1's round-count law),
+  ``bench-aco`` (end-to-end colony construction), ``bench-serve``
+  (serving stack), ``bench-select`` (selection workloads) and
+  ``bench-tune`` (calibration, speedup predictor, autotuner);
+* ``lab`` — the experiment workbench (its own subcommands, see
+  :mod:`repro.lab.cli`); ``lab bench`` records ``BENCH_lab.json``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ def _jsonable(obj):
     return obj
 
 
+def _commands() -> List[str]:
+    """Every command name: the paper experiments, ``all``, then the tools."""
+    return sorted(EXPERIMENTS) + ["all"] + sorted({"audit", "serve", *BENCHES})
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -60,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "audit", "bench-aco", "bench-engine", "bench-race", "bench-select", "bench-serve", "bench-tune", "serve"],
+        # `lab` has its own parser; main() hands it over before this one runs.
+        choices=[name for name in _commands() if name != "lab"],
         help=(
             "experiment to run ('all' runs every paper experiment; "
             "'audit' runs the differential degenerate-wheel audit over "
@@ -122,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help=(
-            "bench-engine / bench-race: where to record the measurements "
-            "(default BENCH_engine.json / BENCH_race.json); "
+            "bench-*: where to record the measurements (default "
+            "BENCH_<name>.json, e.g. BENCH_engine.json for bench-engine); "
             "audit: also write the JSON report here"
         ),
     )
@@ -292,145 +301,99 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_bench_engine(args) -> int:
-    """Run the engine benchmark, record BENCH_engine.json, print a summary."""
-    from repro.engine.bench import render_bench, run_bench, write_bench
-
-    draws = args.iterations if args.iterations is not None else 1_000_000
-    report = run_bench(n=args.wheel_size, draws=draws, seed=args.seed)
-    path = write_bench(report, args.output or "BENCH_engine.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench(report))
-        print(f"recorded -> {path}")
-    return 0
+def _or(value, default):
+    """``value``, or ``default`` when the flag was not given."""
+    return default if value is None else value
 
 
-def _run_bench_race(args) -> int:
-    """Run the race-lab benchmark, record BENCH_race.json, print a summary."""
-    from repro.engine.race_bench import (
-        render_bench_race,
-        run_bench_race,
-        write_bench_race,
-    )
+def _given(**kwargs):
+    """The keyword arguments whose flags were given (not None)."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
-    trials = args.iterations if args.iterations is not None else 100_000
-    kwargs = {"trials": trials, "seed": args.seed, "workers": args.workers}
+
+def _race_kwargs(args) -> dict:
+    kwargs = {"trials": _or(args.iterations, 100_000), "seed": args.seed,
+              "workers": args.workers}
     if args.race_k is not None:
         kwargs["ks"] = args.race_k
         # A custom grid may exclude the default gate point; anchor the
         # PRAM speedup leg at the grid's smallest k (capped for per-step
         # machine feasibility).
         kwargs["pram_k"] = min(min(args.race_k), 256)
-    report = run_bench_race(**kwargs)
-    path = write_bench_race(report, args.output or "BENCH_race.json")
+    return kwargs
+
+
+#: Every command that records a ``BENCH_*.json``: command -> (module, run
+#: function, flags -> run kwargs, validator, renderer, default output).
+#: ``lab`` is ``python -m repro lab bench``, parsed by :mod:`repro.lab.cli`.
+BENCHES = {
+    "bench-aco": (
+        "repro.engine.aco_bench", "run_bench_aco",
+        lambda a: dict(n=a.aco_n, n_ants=a.aco_ants,
+                       iterations=_or(a.iterations, 2), seed=a.seed),
+        "validate_bench_aco", "render_bench_aco", "BENCH_aco.json",
+    ),
+    "bench-engine": (
+        "repro.engine.bench", "run_bench",
+        lambda a: dict(n=a.wheel_size, draws=_or(a.iterations, 1_000_000),
+                       seed=a.seed),
+        "validate_bench", "render_bench", "BENCH_engine.json",
+    ),
+    "bench-race": (
+        "repro.engine.race_bench", "run_bench_race", _race_kwargs,
+        "validate_bench_race", "render_bench_race", "BENCH_race.json",
+    ),
+    "bench-select": (
+        "repro.select.bench", "run_bench_select",
+        lambda a: dict(seed=a.seed, **_given(
+            lottery_draws=a.iterations, rs_replications=a.select_replications,
+            rs_systems=a.select_systems)),
+        "validate_bench_select", "render_bench_select", "BENCH_select.json",
+    ),
+    "bench-serve": (
+        "repro.service.loadgen", "run_bench_serve",
+        lambda a: dict(
+            wheel_size=a.wheel_size, clients=a.clients,
+            requests_per_client=a.requests_per_client,
+            n_draws=a.draws_per_request, seed=a.seed, max_batch=a.max_batch,
+            max_delay_us=a.max_delay_us, procs=a.procs,
+            cluster_workers=a.cluster_workers, mutate=a.mutate,
+            update_every=a.update_every, update_k=a.update_k,
+            update_n=a.update_n),
+        "validate_bench_serve", "render_bench_serve", "BENCH_serve.json",
+    ),
+    "bench-tune": (
+        "repro.tune.bench", "run_bench_tune",
+        lambda a: dict(seed=a.seed, **_given(trials=a.iterations)),
+        "validate_bench_tune", "render_bench_tune", "BENCH_tune.json",
+    ),
+    "lab": (
+        "repro.lab.bench", "run_bench_lab", lambda a: dict(seed=a.seed),
+        "validate_bench_lab", "render_bench_lab", "BENCH_lab.json",
+    ),
+}
+
+
+def _run_bench(name: str, args) -> int:
+    """Run bench ``name``, record it, print it; exit 1 if its validator
+    refuses the record (nothing is written then)."""
+    import importlib
+
+    from repro.bench.record import write_report
+
+    module, run, kwargs, validate, render, default_output = BENCHES[name]
+    mod = importlib.import_module(module)
+    report = getattr(mod, run)(**kwargs(args))
+    path = args.output or default_output
+    try:
+        write_report(report, path, getattr(mod, validate))
+    except ValueError as exc:
+        print(f"{name}: record refused, {path} not written: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print(render_bench_race(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_aco(args) -> int:
-    """Run the end-to-end ACO benchmark, record BENCH_aco.json."""
-    from repro.engine.aco_bench import (
-        render_bench_aco,
-        run_bench_aco,
-        write_bench_aco,
-    )
-
-    iterations = args.iterations if args.iterations is not None else 2
-    report = run_bench_aco(
-        n=args.aco_n,
-        n_ants=args.aco_ants,
-        iterations=iterations,
-        seed=args.seed,
-    )
-    path = write_bench_aco(report, args.output or "BENCH_aco.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_aco(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_tune(args) -> int:
-    """Run the tuning benchmark, record BENCH_tune.json, print a summary."""
-    from repro.tune.bench import (
-        render_bench_tune,
-        run_bench_tune,
-        write_bench_tune,
-    )
-
-    kwargs = {"seed": args.seed}
-    if args.iterations is not None:
-        kwargs["trials"] = args.iterations
-    report = run_bench_tune(**kwargs)
-    path = write_bench_tune(report, args.output or "BENCH_tune.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_tune(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_select(args) -> int:
-    """Run the selection-workloads benchmark, record BENCH_select.json."""
-    from repro.select.bench import (
-        render_bench_select,
-        run_bench_select,
-        write_bench_select,
-    )
-
-    kwargs = {"seed": args.seed}
-    if args.iterations is not None:
-        kwargs["lottery_draws"] = args.iterations
-    if args.select_replications is not None:
-        kwargs["rs_replications"] = args.select_replications
-    if args.select_systems is not None:
-        kwargs["rs_systems"] = args.select_systems
-    report = run_bench_select(**kwargs)
-    path = write_bench_select(report, args.output or "BENCH_select.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_select(report))
-        print(f"recorded -> {path}")
-    return 0
-
-
-def _run_bench_serve(args) -> int:
-    """Run the serving benchmark, record BENCH_serve.json."""
-    from repro.service.loadgen import (
-        render_bench_serve,
-        run_bench_serve,
-        write_bench_serve,
-    )
-
-    report = run_bench_serve(
-        wheel_size=args.wheel_size,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        n_draws=args.draws_per_request,
-        seed=args.seed,
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        procs=args.procs,
-        cluster_workers=args.cluster_workers,
-        mutate=args.mutate,
-        update_every=args.update_every,
-        update_k=args.update_k,
-        update_n=args.update_n,
-    )
-    path = write_bench_serve(report, args.output or "BENCH_serve.json")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_bench_serve(report))
+        print(getattr(mod, render)(report))
         print(f"recorded -> {path}")
     return 0
 
@@ -571,17 +534,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for name in sorted(EXPERIMENTS) + [
-            "audit",
-            "bench-aco",
-            "bench-engine",
-            "bench-race",
-            "bench-select",
-            "bench-serve",
-            "bench-tune",
-            "lab",
-            "serve",
-        ]:
+        for name in _commands():
             print(name)
         return 0
     if args.experiment is None:
@@ -589,20 +542,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.experiment == "audit":
         return _run_audit(args)
-    if args.experiment == "bench-aco":
-        return _run_bench_aco(args)
-    if args.experiment == "bench-engine":
-        return _run_bench_engine(args)
-    if args.experiment == "bench-race":
-        return _run_bench_race(args)
-    if args.experiment == "bench-select":
-        return _run_bench_select(args)
-    if args.experiment == "bench-serve":
-        return _run_bench_serve(args)
-    if args.experiment == "bench-tune":
-        return _run_bench_tune(args)
     if args.experiment == "serve":
         return _run_serve(args)
+    if args.experiment in BENCHES:
+        return _run_bench(args.experiment, args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         print(

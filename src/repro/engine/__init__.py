@@ -14,7 +14,6 @@ from repro.engine.aco_bench import (
     render_bench_aco,
     run_bench_aco,
     validate_bench_aco,
-    write_bench_aco,
 )
 from repro.engine.colony import (
     CDF_METHODS,
@@ -82,7 +81,6 @@ __all__ = [
     "coloring_lockstep_colors",
     "run_bench_aco",
     "validate_bench_aco",
-    "write_bench_aco",
     "render_bench_aco",
     "BENCH_ACO_SCHEMA",
 ]

@@ -8,22 +8,18 @@ also records the run's sparsity profile (mean candidate count ``k`` per
 construction step — the ``k << n`` regime the paper targets), times the
 dynamic Fenwick wheel's batched vs scalar paths, and certifies
 seed-for-seed equivalence of the scalar and lockstep constructions on a
-small instance for all three colonies.  :func:`write_bench_aco`
-persists the report as ``BENCH_aco.json``; exposed on the CLI as
-``python -m repro bench-aco``.
+small instance for all three colonies.  ``python -m repro bench-aco``
+records the report as ``BENCH_aco.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.engine.colony import (
     DEFAULT_BLOCK,
     LOCKSTEP_METHODS,
@@ -36,7 +32,6 @@ from repro.tune.timers import best_of
 __all__ = [
     "run_bench_aco",
     "validate_bench_aco",
-    "write_bench_aco",
     "render_bench_aco",
     "BENCH_ACO_SCHEMA",
 ]
@@ -314,13 +309,7 @@ def run_bench_aco(
             "gate_speedup": gate_speedup,
             "gate_met": bool(gate_speedup >= gate_target),
         },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+        "meta": host_meta(),
     }
 
 
@@ -331,15 +320,7 @@ def validate_bench_aco(report: Dict[str, Any]) -> None:
     shared runner may legitimately miss the speedup gate, so
     ``gate_met`` is recorded but not required to be true.
     """
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_ACO_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_ACO_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
+    check_envelope(report, BENCH_ACO_SCHEMA)
     results = report["results"]
     missing = [k for k in _REQUIRED_RESULT_KEYS if k not in results]
     if missing:
@@ -377,15 +358,6 @@ def validate_bench_aco(report: Dict[str, Any]) -> None:
     sparsity = results["sparsity"]
     if not isinstance(sparsity, dict) or not sparsity.get("mean_k"):
         raise ValueError("results.sparsity must carry a non-empty mean_k profile")
-
-
-def write_bench_aco(report: Dict[str, Any], path: str = "BENCH_aco.json") -> str:
-    """Validate and write an ACO bench report; returns the path."""
-    validate_bench_aco(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
 
 
 def render_bench_aco(report: Dict[str, Any]) -> str:

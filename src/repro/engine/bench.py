@@ -2,29 +2,25 @@
 
 :func:`run_bench` times the registry path against the compiled kernels
 on one wheel configuration and returns a JSON-serialisable report;
-:func:`write_bench` persists it as ``BENCH_engine.json`` so subsequent
-changes have a perf trajectory to regress against.  Exposed on the CLI
-as ``python -m repro bench-engine``.
+``python -m repro bench-engine`` records it as ``BENCH_engine.json`` (via
+:func:`repro.bench.record.write_report`) so subsequent changes have a
+perf trajectory to regress against.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.core.fitness import validate_fitness
 from repro.core.methods.base import get_method
 from repro.engine.compiled import DEFAULT_CHUNK_BYTES, CompiledWheel
 from repro.engine.parallel import parallel_counts, suggest_workers
 from repro.tune.timers import timed
 
-__all__ = ["run_bench", "write_bench", "validate_bench", "BENCH_SCHEMA"]
+__all__ = ["run_bench", "validate_bench", "render_bench", "BENCH_SCHEMA"]
 
 #: Schema tag for BENCH_engine.json (bump on layout changes).
 BENCH_SCHEMA = "repro/bench-engine/v1"
@@ -104,25 +100,13 @@ def run_bench(
             "registry_ns_per_draw": 1e9 * registry_s / draws,
             "compiled_ns_per_draw": 1e9 * compiled_s / draws,
         },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+        "meta": host_meta(),
     }
 
 
 def validate_bench(report: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``report`` is a well-formed bench record."""
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_SCHEMA:
-        raise ValueError(f"schema mismatch: {report.get('schema')!r} != {BENCH_SCHEMA!r}")
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
+    check_envelope(report, BENCH_SCHEMA)
     missing = [k for k in _REQUIRED_RESULT_KEYS if k not in report["results"]]
     if missing:
         raise ValueError(f"missing result keys: {missing}")
@@ -130,15 +114,6 @@ def validate_bench(report: Dict[str, Any]) -> None:
         value = report["results"][key]
         if not isinstance(value, (int, float)) or value < 0:
             raise ValueError(f"result {key!r} must be a non-negative number, got {value!r}")
-
-
-def write_bench(report: Dict[str, Any], path: str = "BENCH_engine.json") -> str:
-    """Validate and write a bench report; returns the path."""
-    validate_bench(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
 
 
 def render_bench(report: Dict[str, Any]) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.rng.streams import stream_seeds
 from repro.typing import FitnessLike
 
 __all__ = [
+    "fan_out",
     "parallel_counts",
     "parallel_select_many",
     "suggest_workers",
@@ -121,6 +122,20 @@ def worker_streams(seed: int, workers: int, engine: Optional[str] = None) -> lis
     return spawn_uniforms(cls, seed, workers)
 
 
+def fan_out(task: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
+    """``[task(p) for p in payloads]``, one worker process per payload.
+
+    A single payload runs inline (no pool).  Results come back in payload
+    order, so a caller that derives each payload from ``(seed, index)``
+    gets the same output however the processes are scheduled.  ``task``
+    must be a picklable top-level function.
+    """
+    if len(payloads) == 1:
+        return [task(payloads[0])]
+    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        return list(pool.map(task, payloads))
+
+
 def _worker_task(payload) -> np.ndarray:
     """Top-level worker body (must be picklable for the process pool)."""
     (values, method, kernel, chunk_bytes, seed, engine, workers, index, shard, mode) = payload
@@ -157,10 +172,7 @@ def _fan_out(
         (values, method_name, kernel, chunk_bytes, seed, engine, workers, w, shard, mode)
         for w, shard in enumerate(shard_sizes(size, workers))
     ]
-    if workers == 1:
-        return [_worker_task(payloads[0])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker_task, payloads))
+    return fan_out(_worker_task, payloads)
 
 
 def parallel_counts(

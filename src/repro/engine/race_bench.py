@@ -6,23 +6,19 @@ across a ``k`` grid up to paper scale (``k = 2**20``), checks the
 measured round-count moments and quantiles against the exact harmonic
 law of :mod:`repro.stats.race_theory`, times the per-step PRAM race at
 the largest shared ``k`` for the speedup gate, and re-runs the fan-out
-to certify byte-identical determinism.  :func:`write_bench_race`
-persists the report as ``BENCH_race.json``; exposed on the CLI as
-``python -m repro bench-race``.
+to certify byte-identical determinism.  ``python -m repro bench-race``
+records the report as ``BENCH_race.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import platform
 import time
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.engine.races import parallel_round_counts, suggest_race_workers
 from repro.pram.algorithms.max_random_write import max_random_write_race
 from repro.rng.streams import stream_seeds
@@ -38,7 +34,6 @@ from repro.stats.race_theory import (
 __all__ = [
     "run_bench_race",
     "validate_bench_race",
-    "write_bench_race",
     "render_bench_race",
     "BENCH_RACE_SCHEMA",
 ]
@@ -187,27 +182,13 @@ def run_bench_race(
             "determinism_sha256": digest,
             "determinism_rerun_identical": identical,
         },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+        "meta": host_meta(),
     }
 
 
 def validate_bench_race(report: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``report`` is a well-formed race bench."""
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_RACE_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_RACE_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
+    check_envelope(report, BENCH_RACE_SCHEMA)
     results = report["results"]
     missing = [k for k in _REQUIRED_RESULT_KEYS if k not in results]
     if missing:
@@ -235,15 +216,6 @@ def validate_bench_race(report: Dict[str, Any]) -> None:
         raise ValueError("determinism_sha256 must be a hex sha256 digest")
     if results["determinism_rerun_identical"] is not True:
         raise ValueError("fan-out re-run was not byte-identical (determinism broken)")
-
-
-def write_bench_race(report: Dict[str, Any], path: str = "BENCH_race.json") -> str:
-    """Validate and write a race bench report; returns the path."""
-    validate_bench_race(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
 
 
 def render_bench_race(report: Dict[str, Any]) -> str:

@@ -34,13 +34,12 @@ processes on SplitMix64 substreams (the same derivation as
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.engine.parallel import fan_out, shard_sizes, suggest_workers
 from repro.errors import CommonWriteViolation, SelectionError
 from repro.pram.policies import WritePolicy
 from repro.rng.streams import machine_substreams, stream_seeds
@@ -357,11 +356,9 @@ def suggest_race_workers(
     min_trials_per_worker: int = MIN_TRIALS_PER_WORKER,
 ) -> int:
     """Auto-tune the worker count for a trial budget (always >= 1)."""
-    if available is None:
-        available = os.cpu_count() or 1
-    if available < 1 or trials < 0:
-        raise ValueError(f"need available >= 1 and trials >= 0, got {available}, {trials}")
-    return max(1, min(available, trials // max(1, min_trials_per_worker)))
+    return suggest_workers(
+        trials, available=available, min_draws_per_worker=min_trials_per_worker
+    )
 
 
 def _round_counts_task(payload) -> np.ndarray:
@@ -386,8 +383,6 @@ def parallel_round_counts(
     runs for fixed ``(seed, workers)``.  ``workers=None`` consults
     :func:`suggest_race_workers`.
     """
-    from repro.engine.parallel import shard_sizes
-
     if workers is None:
         workers = suggest_race_workers(trials)
     if workers <= 0:
@@ -396,8 +391,4 @@ def parallel_round_counts(
         (k, shard, child)
         for shard, child in zip(shard_sizes(trials, workers), stream_seeds(seed, workers))
     ]
-    if workers == 1:
-        return _round_counts_task(payloads[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        shards = list(pool.map(_round_counts_task, payloads))
-    return np.concatenate(shards) if shards else np.empty(0, dtype=np.int64)
+    return np.concatenate(fan_out(_round_counts_task, payloads))

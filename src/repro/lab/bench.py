@@ -30,7 +30,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 import repro
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.lab.cells import Experiment
 from repro.lab.config import parse_experiment
 from repro.lab.report import render_report, status_counts, tidy_rows
@@ -42,7 +42,6 @@ __all__ = [
     "gate_config",
     "run_bench_lab",
     "validate_bench_lab",
-    "write_bench_lab",
     "render_bench_lab",
 ]
 
@@ -223,11 +222,7 @@ def run_bench_lab(
                 "phase_b_s": phase_b_s,
                 "gate_met": bool(gate_met),
             },
-            "meta": {
-                "repro": __version__,
-                "python": sys.version.split()[0],
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            },
+            "meta": host_meta(),
         }
     finally:
         if tmp is not None:
@@ -241,15 +236,7 @@ def validate_bench_lab(report: Dict[str, Any]) -> None:
     exactly-once execution cannot be excused by a slow runner — so the
     gate booleans are *required*, not advisory.
     """
-    if not isinstance(report, dict):
-        raise ValueError("bench-lab report must be a JSON object")
-    if report.get("schema") != BENCH_LAB_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_LAB_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
+    check_envelope(report, BENCH_LAB_SCHEMA)
     results = report["results"]
     for key in (
         "completed_before_kill",
@@ -275,17 +262,6 @@ def validate_bench_lab(report: Dict[str, Any]) -> None:
         raise ValueError("lab report rendered empty")
     if not results["gate_met"]:
         raise ValueError("gate not met")
-
-
-def write_bench_lab(
-    report: Dict[str, Any], path: str = "BENCH_lab.json"
-) -> str:
-    """Validate and record the gate; returns the path written."""
-    validate_bench_lab(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    return path
 
 
 def render_bench_lab(report: Dict[str, Any]) -> str:

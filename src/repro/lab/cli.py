@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
-        "--json", action="store_true", dest="as_json",
+        "--json", action="store_true",
         help="emit the raw gate record instead of the summary",
     )
     return parser
@@ -116,20 +116,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "bench":
-        from repro.lab.bench import (
-            render_bench_lab,
-            run_bench_lab,
-            write_bench_lab,
-        )
+        from repro.cli import _run_bench
 
-        report = run_bench_lab(seed=args.seed)
-        path = write_bench_lab(report, args.output)
-        if args.as_json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(render_bench_lab(report))
-            print(f"recorded -> {path}")
-        return 0 if report["results"]["gate_met"] else 1
+        # A missed gate fails validate_bench_lab: exit 1, nothing written.
+        return _run_bench("lab", args)
 
     experiment, store = _load(args)
 

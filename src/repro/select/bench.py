@@ -36,26 +36,22 @@ workers.  The validator refuses records where the certificate fails.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import platform
 import time
 from typing import Any, Dict
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.rng.streams import derive_seed
 from repro.select.lottery import CommitteeLottery
 from repro.select.rs import make_systems, run_rs
-from repro.tune.predictor import RuntimeDistribution
 from repro.tune.sample import RuntimeSample
 
 __all__ = [
     "run_bench_select",
     "validate_bench_select",
-    "write_bench_select",
     "render_bench_select",
     "BENCH_SELECT_SCHEMA",
 ]
@@ -394,13 +390,7 @@ def run_bench_select(
             and prediction["gate_met"]
             and determinism["ok"]
         ),
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": cpu_count,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+        "meta": host_meta(),
     }
 
 
@@ -412,16 +402,7 @@ def validate_bench_select(report: Dict[str, Any]) -> None:
     to hold — a record whose 1-worker and N-worker replays disagree is
     rejected outright, never published with a failing flag.
     """
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_SELECT_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != "
-            f"{BENCH_SELECT_SCHEMA!r}"
-        )
-    for section in _REQUIRED_SECTIONS + ("config", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
+    check_envelope(report, BENCH_SELECT_SCHEMA, _REQUIRED_SECTIONS + ("config", "meta"))
     lot = report["lottery"]
     for key in ("precise_within", "baseline_outside", "gate_met"):
         if not isinstance(lot.get(key), bool):
@@ -462,17 +443,6 @@ def validate_bench_select(report: Dict[str, Any]) -> None:
         )
     if "gates_met" not in report or not isinstance(report["gates_met"], bool):
         raise ValueError("report must record boolean gates_met")
-
-
-def write_bench_select(
-    report: Dict[str, Any], path: str = "BENCH_select.json"
-) -> str:
-    """Validate and write a select bench report; returns the path."""
-    validate_bench_select(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
 
 
 def render_bench_select(report: Dict[str, Any]) -> str:

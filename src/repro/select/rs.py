@@ -38,13 +38,13 @@ prediction-vs-measurement check lives in :mod:`repro.select.bench`).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.engine.compiled import CompiledWheel
+from repro.engine.parallel import fan_out, suggest_workers
 from repro.rng.streams import derive_seed
 from repro.tune.sample import RuntimeSample
 
@@ -314,8 +314,6 @@ def run_rs(
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     if workers is None:
-        from repro.engine.parallel import suggest_workers
-
         # Budget estimate: every system could survive all rounds.
         per_rep = int(n0 * (growth**max_rounds - 1) / max(growth - 1, 1e-9))
         workers = suggest_workers(replications * per_rep * instance.n_systems)
@@ -335,13 +333,7 @@ def run_rs(
     )
     shards = [list(range(w, replications, workers)) for w in range(workers)]
     start = time.perf_counter()
-    if workers == 1:
-        shard_results = [_replication_batch((*base, shards[0]))]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shard_results = list(
-                pool.map(_replication_batch, [(*base, s) for s in shards])
-            )
+    shard_results = fan_out(_replication_batch, [(*base, s) for s in shards])
     wall_s = time.perf_counter() - start
     by_rep = sorted(
         (row for shard in shard_results for row in shard),

@@ -31,7 +31,6 @@ from repro.service.loadgen import (
     run_open_loop,
     run_tcp_load,
     validate_bench_serve,
-    write_bench_serve,
 )
 from repro.service.metrics import BatchSizeHistogram, LatencyHistogram, ServiceMetrics
 from repro.service.protocol import (
@@ -92,5 +91,4 @@ __all__ = [
     "start_tcp_server",
     "validate_bench_serve",
     "wheel_digest",
-    "write_bench_serve",
 ]

@@ -13,15 +13,15 @@ Two generator shapes, matching how services are actually characterised:
 Both of those drive a scheduler in-process.  The third shape goes over
 the wire: :func:`run_tcp_load` forks ``procs`` client *processes*, each
 running an asyncio closed loop of real TCP connections speaking either
-JSON-lines or binary frames, and merges the per-process latency
-histograms exactly.  One Python client event loop saturates around the
-throughput an 8-worker server can sustain, so without the fan-out the
-bench would measure the client; with it, the server is the bottleneck
-again.
+JSON-lines or binary frames — draws only, or draws mixed with chained
+UPDATEs — and merges the per-process latency histograms exactly.  One
+Python client event loop saturates around the throughput an 8-worker
+server can sustain, so without the fan-out the bench would measure the
+client; with it, the server is the bottleneck again.
 
-:func:`run_bench_serve` assembles the full report in the same
-run/validate/write/render shape as the repo's other benches, persisted
-as ``BENCH_serve.json`` by ``python -m repro bench-serve``:
+:func:`run_bench_serve` assembles the full report, validated by
+:func:`validate_bench_serve` and recorded as ``BENCH_serve.json`` by
+``python -m repro bench-serve``:
 
 * the PR 5 scheduler legs (naive / cached_naive / batched) and their
   >= 10x coalescing gate, coalescing-determinism certificate, and
@@ -37,16 +37,16 @@ as ``BENCH_serve.json`` by ``python -m repro bench-serve``:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import multiprocessing as mp
 import os
-import platform
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.engine.compiled import AcceptanceWheel, CompiledWheel
 from repro.errors import ServiceOverloadedError
 from repro.rng.streams import request_stream
@@ -63,10 +63,9 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "run_tcp_load",
-    "run_tcp_mutate_load",
+    "coalescing_certificate",
     "run_bench_serve",
     "validate_bench_serve",
-    "write_bench_serve",
     "render_bench_serve",
     "BENCH_SERVE_SCHEMA",
 ]
@@ -183,170 +182,7 @@ async def run_open_loop(
 
 
 # ----------------------------------------------------------------------
-# Multi-process TCP load generation
-# ----------------------------------------------------------------------
-
-
-async def _tcp_client(
-    kind: str,
-    host: str,
-    port: int,
-    wheel_id: str,
-    requests_per_client: int,
-    n_draws: int,
-    seed_base: int,
-    hist: LatencyHistogram,
-) -> int:
-    """One closed-loop TCP connection; returns requests completed."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        for i in range(requests_per_client):
-            request = {
-                "op": "draw",
-                "wheel": wheel_id,
-                "n": n_draws,
-                "seed": seed_base + i,
-            }
-            start = time.perf_counter()
-            if kind == "frames":
-                writer.write(frames_mod.request_to_frame(request))
-                await writer.drain()
-                frame = await frames_mod.read_frame(
-                    reader, max_body_bytes=64 << 20
-                )
-                if frame is None:
-                    raise ConnectionError("server closed mid-run")
-                response = frames_mod.frame_to_response(*frame)
-            else:
-                writer.write(
-                    (json.dumps(request, separators=(",", ":")) + "\n").encode()
-                )
-                await writer.drain()
-                line = await reader.readline()
-                if not line:
-                    raise ConnectionError("server closed mid-run")
-                response = json.loads(line)
-            raise_structured(response)
-            hist.observe(time.perf_counter() - start)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-    return requests_per_client
-
-
-def _loadgen_proc(args: Tuple) -> Dict[str, Any]:
-    """One load-generator process: drive its client share, report stats.
-
-    Top-level (not a closure) so it survives every multiprocessing start
-    method.  Latencies are recorded into a local histogram whose full
-    state ships back for exact merging.
-    """
-    kind, host, port, wheel_id, clients, requests_per_client, n_draws, seed0 = args
-    hist = LatencyHistogram()
-
-    async def go() -> float:
-        start = time.perf_counter()
-        await asyncio.gather(
-            *(
-                _tcp_client(
-                    kind,
-                    host,
-                    port,
-                    wheel_id,
-                    requests_per_client,
-                    n_draws,
-                    seed0 + c * requests_per_client,
-                    hist,
-                )
-                for c in range(clients)
-            )
-        )
-        return time.perf_counter() - start
-
-    elapsed = asyncio.run(go())
-    return {
-        "clients": clients,
-        "requests": clients * requests_per_client,
-        "elapsed_s": elapsed,
-        "latency_state": hist.state(),
-    }
-
-
-def _split_clients(clients: int, procs: int) -> List[int]:
-    base, extra = divmod(clients, procs)
-    return [base + (1 if p < extra else 0) for p in range(procs)]
-
-
-async def run_tcp_load(
-    host: str,
-    port: int,
-    wheel_id: str,
-    *,
-    kind: str = "frames",
-    clients: int = 64,
-    requests_per_client: int = 16,
-    n_draws: int = 8,
-    procs: int = 1,
-    seed_base: int = 0,
-) -> Dict[str, Any]:
-    """Drive a listening server from ``procs`` client processes.
-
-    Runs inside the server's event loop: the process pool is awaited via
-    an executor thread so the server keeps serving while the clients
-    hammer it.  Per-process latency histograms merge exactly
-    (:meth:`LatencyHistogram.merge_state`); throughput uses the
-    conservative convention ``total requests / slowest process elapsed``.
-    """
-    if kind not in ("frames", "jsonl"):
-        raise ValueError(f"kind must be 'frames' or 'jsonl', got {kind!r}")
-    if procs <= 0:
-        raise ValueError(f"procs must be positive, got {procs}")
-    procs = min(procs, clients)
-    shares = _split_clients(clients, procs)
-    args = []
-    offset = seed_base
-    for share in shares:
-        args.append(
-            (kind, host, port, wheel_id, share, requests_per_client, n_draws, offset)
-        )
-        offset += share * requests_per_client
-    loop = asyncio.get_running_loop()
-    if procs == 1:
-        # Single generator: no fork needed, run it on a thread so the
-        # server loop stays responsive.
-        results = [await loop.run_in_executor(None, _loadgen_proc, args[0])]
-    else:
-        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        with ctx.Pool(procs) as pool:
-            results = await loop.run_in_executor(
-                None, pool.map, _loadgen_proc, args
-            )
-    merged = LatencyHistogram()
-    for result in results:
-        merged.merge_state(result["latency_state"])
-    total_requests = sum(r["requests"] for r in results)
-    elapsed = max(r["elapsed_s"] for r in results)
-    return {
-        "kind": kind,
-        "procs": procs,
-        "clients": clients,
-        "requests": total_requests,
-        "draws": total_requests * n_draws,
-        "elapsed_s": elapsed,
-        "requests_per_s": total_requests / elapsed if elapsed > 0 else 0.0,
-        "draws_per_s": total_requests * n_draws / elapsed if elapsed > 0 else 0.0,
-        "latency": merged.snapshot(),
-        "per_proc": [
-            {"requests": r["requests"], "elapsed_s": r["elapsed_s"]} for r in results
-        ],
-    }
-
-
-# ----------------------------------------------------------------------
-# Mutating TCP workload (--mutate): interleaved draws and UPDATEs
+# Multi-process TCP load generation: draws, optionally mixed with UPDATEs
 # ----------------------------------------------------------------------
 
 
@@ -367,7 +203,15 @@ async def _send_request(kind, reader, writer, request) -> Dict[str, Any]:
     return json.loads(line)
 
 
-async def _mutate_tcp_client(
+async def _close_writer(writer) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        pass
+
+
+async def _tcp_client(
     kind: str,
     host: str,
     port: int,
@@ -381,15 +225,16 @@ async def _mutate_tcp_client(
     draw_hists: Dict[int, LatencyHistogram],
     update_hist: LatencyHistogram,
 ) -> Tuple[int, int, int]:
-    """One closed-loop client mixing draws with chained UPDATEs.
+    """One closed-loop TCP connection; returns ``(draws, updates, version)``.
 
-    Every ``update_every``-th request is an UPDATE against the client's
-    current wheel id; the response's new id becomes the target of every
-    subsequent draw, so each client walks its own delta chain from the
-    shared root.  Draw latencies are recorded *per version depth* —
-    ``draw_hists[v]`` holds the draws served by version ``v`` wheels —
-    and update latencies separately; both merge exactly across
-    processes.  Returns ``(draws, updates, final_version)``.
+    Request ``i`` is a DRAW with request seed ``seed_base + i``, except
+    that every ``update_every``-th request (``0``: none) is an UPDATE of
+    ``update_k`` indices against the client's current wheel id.  The
+    response's new id becomes the target of every later draw, so each
+    client walks its own delta chain from the shared root.  Draw
+    latencies are recorded *per version depth* — ``draw_hists[v]`` holds
+    the draws served by version ``v`` wheels — and update latencies
+    separately; both merge exactly across processes.
     """
     delta_rng = np.random.default_rng(1_000_003 * (seed_base + 1))
     reader, writer = await asyncio.open_connection(host, port)
@@ -397,7 +242,7 @@ async def _mutate_tcp_client(
     current = wheel_id
     try:
         for i in range(requests_per_client):
-            if update_every > 0 and (i + 1) % update_every == 0:
+            if update_every and (i + 1) % update_every == 0:
                 idx = delta_rng.choice(wheel_size, size=update_k, replace=False)
                 vals = delta_rng.random(update_k) + 0.5
                 request: Dict[str, Any] = {
@@ -429,16 +274,17 @@ async def _mutate_tcp_client(
                 hist.observe(time.perf_counter() - start)
                 draws += 1
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+        await _close_writer(writer)
     return draws, updates, version
 
 
-def _mutate_proc(args: Tuple) -> Dict[str, Any]:
-    """One mutate load-generator process (top-level for spawn safety)."""
+def _loadgen_proc(args: Tuple) -> Dict[str, Any]:
+    """One load-generator process: drive its client share, report stats.
+
+    Top-level (not a closure) so it survives every multiprocessing start
+    method.  Latencies are recorded into local histograms whose full
+    state ships back for exact merging.
+    """
     (
         kind, host, port, wheel_id, wheel_size, clients,
         requests_per_client, n_draws, update_every, update_k, seed0,
@@ -450,7 +296,7 @@ def _mutate_proc(args: Tuple) -> Dict[str, Any]:
         start = time.perf_counter()
         outcomes = await asyncio.gather(
             *(
-                _mutate_tcp_client(
+                _tcp_client(
                     kind, host, port, wheel_id, wheel_size,
                     requests_per_client, n_draws, update_every, update_k,
                     seed0 + c * requests_per_client, draw_hists, update_hist,
@@ -462,59 +308,66 @@ def _mutate_proc(args: Tuple) -> Dict[str, Any]:
 
     elapsed, outcomes = asyncio.run(go())
     return {
-        "clients": clients,
+        "requests": clients * requests_per_client,
         "draws": sum(o[0] for o in outcomes),
         "updates": sum(o[1] for o in outcomes),
         "max_version": max((o[2] for o in outcomes), default=0),
         "elapsed_s": elapsed,
-        "draw_latency_states": {
-            str(v): h.state() for v, h in draw_hists.items()
-        },
+        "draw_latency_states": {str(v): h.state() for v, h in draw_hists.items()},
         "update_latency_state": update_hist.state(),
     }
 
 
-async def run_tcp_mutate_load(
+def _split_clients(clients: int, procs: int) -> List[int]:
+    base, extra = divmod(clients, procs)
+    return [base + (1 if p < extra else 0) for p in range(procs)]
+
+
+async def run_tcp_load(
     host: str,
     port: int,
     wheel_id: str,
-    wheel_size: int,
     *,
     kind: str = "frames",
-    clients: int = 16,
-    requests_per_client: int = 32,
+    clients: int = 64,
+    requests_per_client: int = 16,
     n_draws: int = 8,
-    update_every: int = 4,
-    update_k: int = 8,
     procs: int = 1,
     seed_base: int = 0,
+    wheel_size: int = 0,
+    update_every: int = 0,
+    update_k: int = 8,
 ) -> Dict[str, Any]:
-    """The ``--mutate`` workload: interleaved draw/UPDATE traffic.
+    """Drive a listening server from ``procs`` client processes.
 
-    ``update_every`` sets the update:draw ratio (one UPDATE per
-    ``update_every`` requests; ``0`` disables mutation entirely) and
-    ``update_k`` the delta size.  As in :func:`run_tcp_load` the clients
-    are fanned out over ``procs`` processes; the per-version draw
-    histograms and the update histogram ship home as full bucket state
-    and merge exactly (:meth:`LatencyHistogram.merge_state`), so the
-    reported per-version distributions are identical to a single-process
-    run's.
+    Each client sends ``requests_per_client`` DRAW(``n_draws``) requests;
+    ``update_every > 0`` turns every ``update_every``-th of them into an
+    UPDATE of ``update_k`` indices of the ``wheel_size``-item wheel (the
+    ``--mutate`` workload).  Runs inside the server's event loop: the
+    process pool is awaited via an executor thread so the server keeps
+    serving while the clients hammer it.  Per-process latency histograms
+    — overall, per version depth, and for updates — merge exactly
+    (:meth:`LatencyHistogram.merge_state`), so the merged distributions
+    are identical to a single-process run's; throughput uses the
+    conservative convention ``total requests / slowest process
+    elapsed``.  ``draws`` counts drawn indices (draw requests x
+    ``n_draws``).
     """
     if kind not in ("frames", "jsonl"):
         raise ValueError(f"kind must be 'frames' or 'jsonl', got {kind!r}")
-    if procs <= 0:
-        raise ValueError(f"procs must be positive, got {procs}")
+    if min(procs, clients, requests_per_client, n_draws) < 1:
+        raise ValueError(
+            "procs, clients, requests_per_client and n_draws must be positive, "
+            f"got {procs}, {clients}, {requests_per_client}, {n_draws}"
+        )
     if update_every < 0 or update_k <= 0:
         raise ValueError("update_every must be >= 0 and update_k positive")
-    if update_k > wheel_size:
-        raise ValueError(
-            f"update_k {update_k} exceeds wheel_size {wheel_size}"
-        )
+    if update_every and update_k > wheel_size:
+        raise ValueError(f"update_k {update_k} exceeds wheel_size {wheel_size}")
     procs = min(procs, clients)
-    shares = _split_clients(clients, procs)
     args = []
     offset = seed_base
-    for share in shares:
+    for share in _split_clients(clients, procs):
         args.append(
             (
                 kind, host, port, wheel_id, wheel_size, share,
@@ -524,48 +377,67 @@ async def run_tcp_mutate_load(
         offset += share * requests_per_client
     loop = asyncio.get_running_loop()
     if procs == 1:
-        results = [await loop.run_in_executor(None, _mutate_proc, args[0])]
+        # Single generator: no fork needed, run it on a thread so the
+        # server loop stays responsive.
+        results = [await loop.run_in_executor(None, _loadgen_proc, args[0])]
     else:
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         with ctx.Pool(procs) as pool:
-            results = await loop.run_in_executor(
-                None, pool.map, _mutate_proc, args
-            )
+            results = await loop.run_in_executor(None, pool.map, _loadgen_proc, args)
     per_version: Dict[str, LatencyHistogram] = {}
     update_hist = LatencyHistogram()
     all_draws = LatencyHistogram()
     for result in results:
         for v, state in result["draw_latency_states"].items():
-            hist = per_version.get(v)
-            if hist is None:
-                hist = per_version[v] = LatencyHistogram()
-            hist.merge_state(state)
+            per_version.setdefault(v, LatencyHistogram()).merge_state(state)
             all_draws.merge_state(state)
         update_hist.merge_state(result["update_latency_state"])
-    draws = sum(r["draws"] for r in results)
+    requests = sum(r["requests"] for r in results)
+    draws = sum(r["draws"] for r in results) * n_draws
     updates = sum(r["updates"] for r in results)
     elapsed = max(r["elapsed_s"] for r in results)
-    requests = draws + updates
+
+    def rate(count: int) -> float:
+        return count / elapsed if elapsed > 0 else 0.0
+
     return {
         "kind": kind,
         "procs": procs,
         "clients": clients,
-        "update_every": update_every,
-        "update_k": update_k,
         "requests": requests,
         "draws": draws,
-        "updates": updates,
-        "max_version": max((r["max_version"] for r in results), default=0),
         "elapsed_s": elapsed,
-        "requests_per_s": requests / elapsed if elapsed > 0 else 0.0,
-        "updates_per_s": updates / elapsed if elapsed > 0 else 0.0,
+        "requests_per_s": rate(requests),
+        "draws_per_s": rate(draws),
         "latency": all_draws.snapshot(),
+        "per_proc": [
+            {"requests": r["requests"], "elapsed_s": r["elapsed_s"]} for r in results
+        ],
+        "update_every": update_every,
+        "update_k": update_k,
+        "updates": updates,
+        "max_version": max(r["max_version"] for r in results),
+        "updates_per_s": rate(updates),
         "update_latency": update_hist.snapshot(),
         "per_version_latency": {
-            v: per_version[v].snapshot()
-            for v in sorted(per_version, key=int)
+            v: per_version[v].snapshot() for v in sorted(per_version, key=int)
         },
     }
+
+
+@contextlib.asynccontextmanager
+async def _tcp_server(service):
+    """Serve ``service`` on an ephemeral localhost port; yields the port.
+
+    On exit the listener closes and the service is closed.
+    """
+    server = await start_tcp_server(service, port=0)
+    try:
+        yield server.sockets[0].getsockname()[1]
+    finally:
+        server.close()
+        await server.wait_closed()
+        await service.close()
 
 
 # ----------------------------------------------------------------------
@@ -616,60 +488,75 @@ def _leg_report(
     }
 
 
-def _determinism_certificate(
-    wheel_size: int, seed: int, *, methods: Sequence[str] = _CERTIFICATE_METHODS
-) -> Dict[str, Any]:
-    """Certify responses are bit-identical solo vs coalesced.
+def coalescing_certificate(
+    fitness,
+    method: str,
+    seed: int,
+    sizes: Sequence[int],
+    *,
+    max_delay_us: float,
+    controllers: Tuple[Any, Any] = (None, None),
+) -> bool:
+    """True iff coalescing is invisible in the draws.
 
-    For each method, the same ``(wheel, n, seed)`` request set is served
-    three ways — fully coalesced (``max_batch`` large), strictly solo
+    The requests ``(wheel, sizes[i], seed=i)`` are served three ways —
+    fully coalesced (``max_batch=len(sizes)``), strictly solo
     (``max_batch=1``), and directly via ``select_many`` on the compiled
-    wheel with the request's replayed substream — and all three must
-    agree byte for byte.
+    wheel with each request's replayed substream — and all three must
+    agree byte for byte.  ``controllers`` optionally gives the coalesced
+    and the solo scheduler each a delay controller.
     """
-    sizes = [1, 3, 17, 64, 5, 128, 2, 31]
-    per_method: Dict[str, Any] = {}
-    all_ok = True
-    for method in methods:
-        fitness = np.arange(1.0, wheel_size + 1.0)
-        registry = WheelRegistry()
-        wheel_id, _ = registry.register(fitness, method=method)
-        wheel = registry.get(wheel_id)
+    registry = WheelRegistry()
+    wheel_id, _ = registry.register(fitness, method=method)
+    wheel = registry.get(wheel_id)
 
-        async def serve(max_batch: int) -> List[np.ndarray]:
-            sched = MicroBatchScheduler(
-                registry,
-                BatchConfig(max_batch=max_batch, max_delay_us=500.0),
-                seed=seed,
-            )
+    def serve(max_batch: int, controller) -> List[np.ndarray]:
+        sched = MicroBatchScheduler(
+            registry,
+            BatchConfig(max_batch=max_batch, max_delay_us=max_delay_us),
+            seed=seed,
+            controller=controller,
+        )
+
+        async def go() -> List[np.ndarray]:
             out = await asyncio.gather(
-                *(
-                    sched.draw(wheel_id, n, seed=i)
-                    for i, n in enumerate(sizes)
-                )
+                *(sched.draw(wheel_id, n, seed=i) for i, n in enumerate(sizes))
             )
             await sched.close()
             return out
 
-        coalesced = asyncio.run(serve(max_batch=len(sizes)))
-        solo = asyncio.run(serve(max_batch=1))
-        direct = [
-            wheel.select_many(
-                n, request_stream(seed, digest_key(wheel_id), i)
-            )
-            for i, n in enumerate(sizes)
-        ]
-        ok = all(
-            np.array_equal(c, s) and np.array_equal(c, d)
-            for c, s, d in zip(coalesced, solo, direct)
-        )
-        all_ok = all_ok and ok
-        per_method[method] = {
+        return asyncio.run(go())
+
+    coalesced = serve(len(sizes), controllers[0])
+    solo = serve(1, controllers[1])
+    direct = [
+        wheel.select_many(n, request_stream(seed, digest_key(wheel_id), i))
+        for i, n in enumerate(sizes)
+    ]
+    return all(
+        np.array_equal(c, s) and np.array_equal(c, d)
+        for c, s, d in zip(coalesced, solo, direct)
+    )
+
+
+def _determinism_certificate(
+    wheel_size: int, seed: int, *, methods: Sequence[str] = _CERTIFICATE_METHODS
+) -> Dict[str, Any]:
+    """The :func:`coalescing_certificate` for each of ``methods``."""
+    sizes = [1, 3, 17, 64, 5, 128, 2, 31]
+    fitness = np.arange(1.0, wheel_size + 1.0)
+    per_method = {
+        method: {
             "requests": len(sizes),
             "sizes": sizes,
-            "bitwise_identical": bool(ok),
+            "bitwise_identical": coalescing_certificate(
+                fitness, method, seed, sizes, max_delay_us=500.0
+            ),
         }
-    return {"methods": per_method, "ok": bool(all_ok)}
+        for method in methods
+    }
+    ok = all(entry["bitwise_identical"] for entry in per_method.values())
+    return {"methods": per_method, "ok": ok}
 
 
 def _overload_probe(
@@ -713,6 +600,51 @@ def _overload_probe(
 
 
 # ----------------------------------------------------------------------
+# Cluster replay: one request script on a 1-worker and an N-worker pool
+# ----------------------------------------------------------------------
+
+
+async def _ask(service, request: Dict[str, Any]) -> Dict[str, Any]:
+    """One in-process request; raises the response's structured error."""
+    response = await service.handle_request(request)
+    raise_structured(response)
+    return response
+
+
+async def _draw_sizes(service, wheel_id: str, sizes: Sequence[int]) -> List[np.ndarray]:
+    """DRAW(``sizes[i]``) with request seed ``i``, all concurrently."""
+    responses = await asyncio.gather(
+        *(
+            _ask(service, {"op": "draw", "wheel": wheel_id, "n": n, "seed": i})
+            for i, n in enumerate(sizes)
+        )
+    )
+    return [np.asarray(r["draws"]) for r in responses]
+
+
+def _replay_on_clusters(script, seed: int, workers: int) -> Tuple[Any, Any]:
+    """``await script(cluster)`` on a fresh 1-worker and a fresh
+    ``workers``-worker :class:`ClusterService` with the same seed.
+
+    Returns both results; the determinism certificates compare them.
+    """
+
+    def run(n_workers: int) -> Any:
+        # Shards fork in the constructor, before any event loop exists.
+        cluster = ClusterService(workers=n_workers, seed=seed)
+
+        async def go() -> Any:
+            try:
+                return await script(cluster)
+            finally:
+                await cluster.close()
+
+        return asyncio.run(go())
+
+    return run(1), run(workers)
+
+
+# ----------------------------------------------------------------------
 # Protocol (frames vs JSON-lines) legs
 # ----------------------------------------------------------------------
 
@@ -734,9 +666,7 @@ def _measure_protocol_leg(
     wheel_id, _ = service.registry.register(fitness, method=method)
 
     async def go() -> Dict[str, Any]:
-        server = await start_tcp_server(service, port=0)
-        port = server.sockets[0].getsockname()[1]
-        try:
+        async with _tcp_server(service) as port:
             # Warm-up primes connections, allocators, compiled tables.
             await run_tcp_load(
                 "127.0.0.1", port, wheel_id, kind=kind,
@@ -748,10 +678,6 @@ def _measure_protocol_leg(
                 clients=clients, requests_per_client=requests_per_client,
                 n_draws=n_draws, procs=procs, seed_base=0,
             )
-        finally:
-            server.close()
-            await server.wait_closed()
-            await service.close()
 
     leg = asyncio.run(go())
     leg["batch_sizes"] = service.metrics.batch_sizes.snapshot()
@@ -903,22 +829,19 @@ def _measure_mutate_leg(
     wheel_id, _ = service.registry.register(fitness, method=method)
 
     async def go() -> Dict[str, Any]:
-        server = await start_tcp_server(service, port=0)
-        port = server.sockets[0].getsockname()[1]
-        try:
-            return await run_tcp_mutate_load(
-                "127.0.0.1", port, wheel_id, int(len(fitness)),
-                kind="frames", clients=clients,
+        async with _tcp_server(service) as port:
+            return await run_tcp_load(
+                "127.0.0.1", port, wheel_id, kind="frames", clients=clients,
                 requests_per_client=requests_per_client, n_draws=n_draws,
+                procs=procs, seed_base=0, wheel_size=len(fitness),
                 update_every=update_every, update_k=update_k,
-                procs=procs, seed_base=0,
             )
-        finally:
-            server.close()
-            await server.wait_closed()
-            await service.close()
 
     leg = asyncio.run(go())
+    # This leg records `draws` as the number of draw requests, not drawn
+    # indices (BENCH_serve v3).
+    leg["draws"] = leg["requests"] - leg["updates"]
+    del leg["draws_per_s"]
     stats = service.registry.stats()
     leg["service"] = {
         "updates_total": service.metrics.updates_total,
@@ -983,53 +906,31 @@ def _version_determinism_certificate(
         values[idx] = vals
         versions.append((current, values))
 
-    def serve(n_workers: int):
-        cluster = ClusterService(workers=n_workers, seed=seed)
+    async def replay_chain(cluster):
+        request = {"op": "register", "fitness": base.tolist(), "method": method}
+        if (await _ask(cluster, request))["wheel"] != root_id:
+            raise AssertionError("cluster minted a different root id")
+        first: Dict[str, List[np.ndarray]] = {
+            root_id: await _draw_sizes(cluster, root_id, sizes)
+        }
+        cur = root_id
+        for idx, vals in deltas:
+            request = {
+                "op": "update",
+                "wheel": cur,
+                "indices": idx.tolist(),
+                "values": vals.tolist(),
+            }
+            cur = (await _ask(cluster, request))["wheel"]
+            first[cur] = await _draw_sizes(cluster, cur, sizes)
+        if list(first) != [wid for wid, _ in versions]:
+            raise AssertionError("cluster minted different version ids")
+        second = {wid: await _draw_sizes(cluster, wid, sizes) for wid, _ in versions}
+        return first, second
 
-        async def draw_all(wid: str) -> List[np.ndarray]:
-            responses = await asyncio.gather(
-                *(
-                    cluster.handle_request(
-                        {"op": "draw", "wheel": wid, "n": sz, "seed": i}
-                    )
-                    for i, sz in enumerate(sizes)
-                )
-            )
-            for r in responses:
-                raise_structured(r)
-            return [np.asarray(r["draws"]) for r in responses]
-
-        async def go():
-            reply = await cluster.handle_request(
-                {"op": "register", "fitness": base.tolist(), "method": method}
-            )
-            raise_structured(reply)
-            if reply["wheel"] != root_id:
-                raise AssertionError("cluster minted a different root id")
-            first: Dict[str, List[np.ndarray]] = {root_id: await draw_all(root_id)}
-            cur = root_id
-            for idx, vals in deltas:
-                reply = await cluster.handle_request(
-                    {
-                        "op": "update",
-                        "wheel": cur,
-                        "indices": idx.tolist(),
-                        "values": vals.tolist(),
-                    }
-                )
-                raise_structured(reply)
-                cur = reply["wheel"]
-                first[cur] = await draw_all(cur)
-            if list(first) != [wid for wid, _ in versions]:
-                raise AssertionError("cluster minted different version ids")
-            second = {wid: await draw_all(wid) for wid, _ in versions}
-            await cluster.close()
-            return first, second
-
-        return asyncio.run(go())
-
-    single_first, single_second = serve(1)
-    multi_first, multi_second = serve(workers)
+    (single_first, single_second), (multi_first, multi_second) = _replay_on_clusters(
+        replay_chain, seed, workers
+    )
     per_version = []
     all_ok = True
     cow_stable = True
@@ -1071,42 +972,25 @@ def _version_determinism_certificate(
     sa_values = base.copy()
     sa_values[sa_idx] = sa_vals
 
-    def serve_sa(n_workers: int) -> Tuple[str, List[np.ndarray]]:
-        cluster = ClusterService(workers=n_workers, seed=seed)
+    async def acceptance_chain(cluster) -> Tuple[str, List[np.ndarray]]:
+        root = await _ask(
+            cluster,
+            {"op": "register", "fitness": base.tolist(), "backend": "stochastic_acceptance"},
+        )
+        child = await _ask(
+            cluster,
+            {
+                "op": "update",
+                "wheel": root["wheel"],
+                "indices": sa_idx.tolist(),
+                "values": sa_vals.tolist(),
+            },
+        )
+        return child["wheel"], await _draw_sizes(cluster, child["wheel"], sizes)
 
-        async def go():
-            reply = await cluster.handle_request(
-                {
-                    "op": "register",
-                    "fitness": base.tolist(),
-                    "backend": "stochastic_acceptance",
-                }
-            )
-            raise_structured(reply)
-            reply = await cluster.handle_request(
-                {
-                    "op": "update",
-                    "wheel": reply["wheel"],
-                    "indices": sa_idx.tolist(),
-                    "values": sa_vals.tolist(),
-                }
-            )
-            raise_structured(reply)
-            wid = reply["wheel"]
-            out = []
-            for i, sz in enumerate(sizes):
-                r = await cluster.handle_request(
-                    {"op": "draw", "wheel": wid, "n": sz, "seed": i}
-                )
-                raise_structured(r)
-                out.append(np.asarray(r["draws"]))
-            await cluster.close()
-            return wid, out
-
-        return asyncio.run(go())
-
-    sa_id_single, sa_single = serve_sa(1)
-    sa_id_multi, sa_multi = serve_sa(workers)
+    (sa_id_single, sa_single), (sa_id_multi, sa_multi) = _replay_on_clusters(
+        acceptance_chain, seed, workers
+    )
     sa_oracle = AcceptanceWheel(sa_values)
     sa_direct = [
         sa_oracle.select_many(sz, request_stream(seed, digest_key(sa_child), i))
@@ -1214,43 +1098,31 @@ def _colony_section(
     wheel_id, _ = service.registry.register(base, method=method)
 
     async def go() -> float:
-        server = await start_tcp_server(service, port=0)
-        port = server.sockets[0].getsockname()[1]
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            warm = await _send_request(
-                "frames", reader, writer,
-                {"op": "draw", "wheel": wheel_id, "n": ants, "seed": 1 << 40},
-            )
-            raise_structured(warm)
-            cur = wheel_id
-            begin = time.perf_counter()
-            for it in range(iterations):
-                reply = await _send_request(
-                    "frames", reader, writer,
-                    {"op": "draw", "wheel": cur, "n": ants, "seed": it},
-                )
+        async with _tcp_server(service) as port:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def ask(request: Dict[str, Any]) -> Dict[str, Any]:
+                reply = await _send_request("frames", reader, writer, request)
                 raise_structured(reply)
-                idx, vals = deltas[it]
-                reply = await _send_request(
-                    "frames", reader, writer,
-                    {"op": "update", "wheel": cur, "indices": idx, "values": vals},
-                )
-                raise_structured(reply)
-                cur = reply["wheel"]
-            return time.perf_counter() - begin
-        finally:
-            writer.close()
+                return reply
+
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-            # Let the server-side handler observe the EOF and finish its
-            # own close before the loop is torn down.
-            await asyncio.sleep(0.05)
-            server.close()
-            await server.wait_closed()
-            await service.close()
+                await ask({"op": "draw", "wheel": wheel_id, "n": ants, "seed": 1 << 40})
+                cur = wheel_id
+                begin = time.perf_counter()
+                for it in range(iterations):
+                    await ask({"op": "draw", "wheel": cur, "n": ants, "seed": it})
+                    idx, vals = deltas[it]
+                    reply = await ask(
+                        {"op": "update", "wheel": cur, "indices": idx, "values": vals}
+                    )
+                    cur = reply["wheel"]
+                return time.perf_counter() - begin
+            finally:
+                await _close_writer(writer)
+                # Let the server-side handler observe the EOF and finish
+                # its own close before the loop is torn down.
+                await asyncio.sleep(0.05)
 
     served_s = asyncio.run(go())
     factor = served_s / inproc_s if inproc_s > 0 else 0.0
@@ -1295,16 +1167,11 @@ def _measure_cluster_leg(
     cluster = ClusterService(workers=workers, seed=seed, config=config)
 
     async def go() -> Dict[str, Any]:
-        wheel_ids = []
-        for fitness in fitness_vectors:
-            reply = await cluster.handle_request(
-                {"op": "register", "fitness": fitness, "method": method}
-            )
-            raise_structured(reply)
-            wheel_ids.append(reply["wheel"])
-        server = await start_tcp_server(cluster, port=0)
-        port = server.sockets[0].getsockname()[1]
-        try:
+        async with _tcp_server(cluster) as port:
+            wheel_ids = []
+            for fitness in fitness_vectors:
+                request = {"op": "register", "fitness": fitness, "method": method}
+                wheel_ids.append((await _ask(cluster, request))["wheel"])
             per_wheel_clients = _split_clients(clients, len(wheel_ids))
             seed0 = 0
             loads = []
@@ -1325,10 +1192,6 @@ def _measure_cluster_leg(
             elapsed = time.perf_counter() - start
             stats = await cluster.stats()
             return {"results": results, "elapsed_s": elapsed, "stats": stats}
-        finally:
-            server.close()
-            await server.wait_closed()
-            await cluster.close()
 
     out = asyncio.run(go())
     total_requests = sum(r["requests"] for r in out["results"])
@@ -1375,35 +1238,15 @@ def _cluster_determinism_certificate(
         np.linspace(0.5, 7.5, wheel_size),
     ]
 
-    def serve(n_workers: int) -> List[List[np.ndarray]]:
-        cluster = ClusterService(workers=n_workers, seed=seed)
+    async def script(cluster) -> List[List[np.ndarray]]:
+        out = []
+        for fitness in vectors:
+            request = {"op": "register", "fitness": fitness, "method": method}
+            wheel_id = (await _ask(cluster, request))["wheel"]
+            out.append(await _draw_sizes(cluster, wheel_id, sizes))
+        return out
 
-        async def go() -> List[List[np.ndarray]]:
-            out: List[List[np.ndarray]] = []
-            for fitness in vectors:
-                reply = await cluster.handle_request(
-                    {"op": "register", "fitness": fitness, "method": method}
-                )
-                raise_structured(reply)
-                wheel_id = reply["wheel"]
-                responses = await asyncio.gather(
-                    *(
-                        cluster.handle_request(
-                            {"op": "draw", "wheel": wheel_id, "n": n, "seed": i}
-                        )
-                        for i, n in enumerate(sizes)
-                    )
-                )
-                for r in responses:
-                    raise_structured(r)
-                out.append([np.asarray(r["draws"]) for r in responses])
-            await cluster.close()
-            return out
-
-        return asyncio.run(go())
-
-    single = serve(1)
-    multi = serve(workers)
+    single, multi = _replay_on_clusters(script, seed, workers)
     registry = WheelRegistry()
     per_wheel = []
     all_ok = True
@@ -1468,10 +1311,13 @@ def _cluster_section(
         for w in sweep
     ]
     by_workers = {str(leg["workers"]): leg for leg in legs}
+    # Per-worker throughput relative to the base leg: 1 worker, or the
+    # first leg when the sweep has no 1-worker leg.
     base = by_workers.get("1", legs[0])
     efficiency = {
         str(leg["workers"]): (
-            leg["requests_per_s"] / (leg["workers"] * base["requests_per_s"])
+            leg["requests_per_s"] * base["workers"]
+            / (leg["workers"] * base["requests_per_s"])
             if base["requests_per_s"] > 0
             else 0.0
         )
@@ -1658,13 +1504,7 @@ def run_bench_serve(
             "update": update,
             "colony": colony,
         },
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+        "meta": host_meta(),
     }
 
 
@@ -1679,15 +1519,7 @@ def validate_bench_serve(report: Dict[str, Any]) -> None:
     miss a throughput target.  The scaling gate must either be evaluated
     or carry an explicit skip reason.
     """
-    if not isinstance(report, dict):
-        raise ValueError(f"report must be a dict, got {type(report).__name__}")
-    if report.get("schema") != BENCH_SERVE_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_SERVE_SCHEMA!r}"
-        )
-    for section in ("config", "results", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing or malformed section {section!r}")
+    check_envelope(report, BENCH_SERVE_SCHEMA)
     results = report["results"]
     for key in _REQUIRED_RESULT_KEYS:
         if key not in results:
@@ -1782,15 +1614,6 @@ def validate_bench_serve(report: Dict[str, Any]) -> None:
         raise ValueError("colony.gate_met must be a bool")
     if not isinstance(results["gate_met"], bool):
         raise ValueError("gate_met must be a bool")
-
-
-def write_bench_serve(report: Dict[str, Any], path: str = "BENCH_serve.json") -> str:
-    """Validate and persist the report; returns the path written."""
-    validate_bench_serve(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def render_bench_serve(report: Dict[str, Any]) -> str:

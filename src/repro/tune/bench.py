@@ -30,17 +30,15 @@ serving and direct substream replay.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
-import platform
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro._version import __version__
+from repro.bench.record import check_envelope, host_meta
 from repro.tune.calibration import (
     resolve_min_draws_per_worker,
     save_calibration,
@@ -54,7 +52,6 @@ from repro.tune.timers import timed
 __all__ = [
     "run_bench_tune",
     "validate_bench_tune",
-    "write_bench_tune",
     "render_bench_tune",
     "BENCH_TUNE_SCHEMA",
 ]
@@ -330,9 +327,7 @@ def _determinism_section(
 ) -> Dict[str, Any]:
     """The acceptance certificates: tuning changes nothing bitwise."""
     from repro.engine.parallel import parallel_counts, suggest_workers
-    from repro.rng.streams import request_stream
-    from repro.service.registry import WheelRegistry, digest_key
-    from repro.service.scheduler import BatchConfig, MicroBatchScheduler
+    from repro.service.loadgen import coalescing_certificate
 
     fitness = 1.0 - np.random.default_rng(seed).random(wheel_n)
 
@@ -349,38 +344,15 @@ def _determinism_section(
 
     # Batched serving with the online controller enabled, against solo
     # serving and direct substream replay.
-    sizes = [1, 5, 17, 3, 64, 2, 9, 30, 12, 7, 21, 4]
-
-    async def gather(sched, wid):
-        return await asyncio.gather(
-            *(sched.draw(wid, n, seed=i) for i, n in enumerate(sizes))
-        )
-
-    def serve(max_batch: int, controller) -> list:
-        registry = WheelRegistry()
-        wid, _ = registry.register(fitness, method=method)
-        sched = MicroBatchScheduler(
-            registry,
-            BatchConfig(max_batch=max_batch, max_delay_us=100.0),
-            seed=seed,
-            controller=controller,
-        )
-        return asyncio.run(gather(sched, wid))
-
     controller = DelayController(adjust_every=1, max_delay_us=500.0)
-    coalesced = serve(len(sizes), controller)
-    solo = serve(1, DelayController(adjust_every=1, max_delay_us=500.0))
-    registry = WheelRegistry()
-    wid, _ = registry.register(fitness, method=method)
-    wheel = registry.get(wid)
-    serving_ok = True
-    for i, n in enumerate(sizes):
-        direct = wheel.select_many(n, request_stream(seed, digest_key(wid), i))
-        if not (
-            np.array_equal(coalesced[i], solo[i])
-            and np.array_equal(coalesced[i], direct)
-        ):
-            serving_ok = False
+    serving_ok = coalescing_certificate(
+        fitness,
+        method,
+        seed,
+        [1, 5, 17, 3, 64, 2, 9, 30, 12, 7, 21, 4],
+        max_delay_us=100.0,
+        controllers=(controller, DelayController(adjust_every=1, max_delay_us=500.0)),
+    )
     return {
         "parallel_counts_identical": engine_ok,
         "resolved_workers": resolved_workers,
@@ -488,28 +460,14 @@ def run_bench_tune(
             and autotune_gate["gate_met"]
             and determinism["ok"]
         ),
-        "meta": {
-            "repro": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": cpu_count,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        },
+        "meta": host_meta(),
     }
 
 
 # ----------------------------------------------------------------------
 def validate_bench_tune(report: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``report`` is a well-formed tune record."""
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_TUNE_SCHEMA:
-        raise ValueError(
-            f"schema mismatch: {report.get('schema')!r} != {BENCH_TUNE_SCHEMA!r}"
-        )
-    for section in _REQUIRED_SECTIONS + ("config", "meta"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"missing section {section!r}")
+    check_envelope(report, BENCH_TUNE_SCHEMA, _REQUIRED_SECTIONS + ("config", "meta"))
     sg = report["speedup_gate"]
     if sg.get("skipped"):
         if not sg.get("skip_reason"):
@@ -535,15 +493,6 @@ def validate_bench_tune(report: Dict[str, Any]) -> None:
             )
     if "gates_met" not in report or not isinstance(report["gates_met"], bool):
         raise ValueError("report must record boolean gates_met")
-
-
-def write_bench_tune(report: Dict[str, Any], path: str = "BENCH_tune.json") -> str:
-    """Validate and write a tune bench report; returns the path."""
-    validate_bench_tune(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
 
 
 def render_bench_tune(report: Dict[str, Any]) -> str:

@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from repro.bench.record import write_report
 from repro.engine.aco_bench import (
     BENCH_ACO_SCHEMA,
     render_bench_aco,
     run_bench_aco,
     validate_bench_aco,
-    write_bench_aco,
 )
 
 
@@ -64,7 +64,7 @@ class TestRunBenchAco:
         assert "log_bidding" in text
 
     def test_write_round_trip(self, tiny_report, tmp_path):
-        path = write_bench_aco(tiny_report, tmp_path / "BENCH_aco.json")
+        path = write_report(tiny_report, tmp_path / "BENCH_aco.json", validate_bench_aco)
         on_disk = json.loads((tmp_path / "BENCH_aco.json").read_text())
         assert str(path) == str(tmp_path / "BENCH_aco.json")
         validate_bench_aco(on_disk)

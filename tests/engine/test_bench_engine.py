@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.bench.record import write_report
 from repro.cli import main as cli_main
 from repro.engine.bench import (
     BENCH_SCHEMA,
     render_bench,
     run_bench,
     validate_bench,
-    write_bench,
 )
 
 
@@ -32,7 +32,7 @@ def test_run_bench_is_well_formed(report):
 
 
 def test_write_bench_round_trips(tmp_path, report):
-    path = write_bench(report, str(tmp_path / "BENCH_engine.json"))
+    path = write_report(report, str(tmp_path / "BENCH_engine.json"), validate_bench)
     with open(path, encoding="utf-8") as fh:
         loaded = json.load(fh)
     validate_bench(loaded)

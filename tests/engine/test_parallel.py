@@ -137,3 +137,22 @@ def test_worker_streams_are_independent_and_reproducible():
         np.testing.assert_array_equal(a, b)
     # Distinct workers see distinct streams.
     assert not np.array_equal(first[0], first[1])
+
+
+def test_fan_out_keeps_payload_order_inline_and_in_processes():
+    import os
+
+    from repro.engine.parallel import fan_out
+
+    assert fan_out(abs, [-3]) == [3]
+    assert fan_out(abs, [-3, 1, -2]) == [3, 1, 2]
+    # One payload runs in this process; several run in child processes.
+    pids = fan_out(_pid_of, [0, 1])
+    assert os.getpid() not in pids
+    assert fan_out(_pid_of, [0]) == [os.getpid()]
+
+
+def _pid_of(_payload) -> int:
+    import os
+
+    return os.getpid()

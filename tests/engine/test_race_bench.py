@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.bench.record import write_report
 from repro.cli import main as cli_main
 from repro.engine.race_bench import (
     BENCH_RACE_SCHEMA,
     render_bench_race,
     run_bench_race,
     validate_bench_race,
-    write_bench_race,
 )
 
 
@@ -43,7 +43,7 @@ def test_speedup_gate_holds_even_tiny(report):
 
 
 def test_write_bench_race_round_trips(tmp_path, report):
-    path = write_bench_race(report, str(tmp_path / "BENCH_race.json"))
+    path = write_report(report, str(tmp_path / "BENCH_race.json"), validate_bench_race)
     with open(path, encoding="utf-8") as fh:
         loaded = json.load(fh)
     validate_bench_race(loaded)

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.bench.record import write_report
 from repro.select.bench import (
     BENCH_SELECT_SCHEMA,
     render_bench_select,
     run_bench_select,
     validate_bench_select,
-    write_bench_select,
 )
 
 
@@ -70,7 +70,7 @@ class TestRecord:
         assert isinstance(report["gates_met"], bool)
 
     def test_round_trips_through_json(self, report, tmp_path):
-        path = write_bench_select(report, str(tmp_path / "BENCH_select.json"))
+        path = write_report(report, str(tmp_path / "BENCH_select.json"), validate_bench_select)
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
         validate_bench_select(loaded)
@@ -120,4 +120,4 @@ class TestValidator:
     def test_write_refuses_invalid(self, report, tmp_path):
         bad = dict(report, determinism=dict(report["determinism"], ok=False))
         with pytest.raises(ValueError):
-            write_bench_select(bad, str(tmp_path / "nope.json"))
+            write_report(bad, str(tmp_path / "nope.json"), validate_bench_select)

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.bench.record import write_report
 from repro.service.loadgen import (
     BENCH_SERVE_SCHEMA,
     render_bench_serve,
     run_bench_serve,
     validate_bench_serve,
-    write_bench_serve,
 )
 
 
@@ -183,7 +183,7 @@ class TestBenchServe:
             validate_bench_serve({"schema": "nope"})
 
     def test_write_and_render(self, tiny_report, tmp_path):
-        path = write_bench_serve(tiny_report, str(tmp_path / "BENCH_serve.json"))
+        path = write_report(tiny_report, str(tmp_path / "BENCH_serve.json"), validate_bench_serve)
         on_disk = json.loads(open(path, encoding="utf-8").read())
         validate_bench_serve(on_disk)
         text = render_bench_serve(tiny_report)
@@ -248,6 +248,74 @@ class TestTCPLoadGenerator:
                 await run_tcp_load("127.0.0.1", 1, "w1:00", kind="xml")
 
         asyncio.run(go())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"clients": 0}, {"requests_per_client": 0}, {"n_draws": 0}, {"procs": 0}],
+    )
+    def test_rejects_empty_workloads(self, bad):
+        import asyncio
+
+        from repro.service.loadgen import run_tcp_load
+
+        async def go():
+            with pytest.raises(ValueError, match="must be positive"):
+                await run_tcp_load("127.0.0.1", 1, "w1:00", **bad)
+
+        asyncio.run(go())
+
+    def test_rejects_update_larger_than_wheel(self):
+        import asyncio
+
+        from repro.service.loadgen import run_tcp_load
+
+        async def go():
+            with pytest.raises(ValueError, match="exceeds wheel_size"):
+                await run_tcp_load(
+                    "127.0.0.1", 1, "w1:00", wheel_size=4, update_every=2, update_k=5
+                )
+
+        asyncio.run(go())
+
+
+class TestClusterScaling:
+    """Scaling efficiency against a stubbed leg throughput."""
+
+    @staticmethod
+    def _section(monkeypatch, sweep, cpu_count, rps):
+        from repro.service import loadgen
+        from repro.service.scheduler import BatchConfig
+
+        def fake_leg(workers, *args, **kwargs):
+            return {"workers": workers, "requests_per_s": rps[workers]}
+
+        monkeypatch.setattr(loadgen, "_measure_cluster_leg", fake_leg)
+        monkeypatch.setattr(
+            loadgen, "_cluster_determinism_certificate", lambda *a, **k: {"ok": True}
+        )
+        monkeypatch.setattr(loadgen.os, "cpu_count", lambda: cpu_count)
+        return loadgen._cluster_section(
+            16, 0, "log_bidding", clients=4, requests_per_client=1, n_draws=1,
+            procs=1, config=BatchConfig(), workers_sweep=sweep,
+        )
+
+    def test_efficiency_against_one_worker(self, monkeypatch):
+        section = self._section(
+            monkeypatch, [1, 2, 4], 8, {1: 1000.0, 2: 1800.0, 4: 3000.0}
+        )
+        eff = section["scaling"]["efficiency"]
+        assert eff == {"1": 1.0, "2": 0.9, "4": 0.75}
+        assert section["scaling"]["gate_met"] is True
+
+    def test_efficiency_without_one_worker_leg(self, monkeypatch):
+        # Linear scaling from 2 to 4 workers is efficiency 1.0, and the
+        # base leg is 1.0 against itself, not 0.5.
+        section = self._section(monkeypatch, [2, 4], 8, {2: 2000.0, 4: 4000.0})
+        assert section["scaling"]["efficiency"] == {"2": 1.0, "4": 1.0}
+        assert section["scaling"]["gate_met"] is True
+        missed = self._section(monkeypatch, [2, 4], 8, {2: 2000.0, 4: 2400.0})
+        assert missed["scaling"]["efficiency"]["4"] == pytest.approx(0.6)
+        assert missed["scaling"]["gate_met"] is False
 
 
 class TestBenchServeCLI:

@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from repro.bench.record import write_report
 from repro.tune.bench import (
     BENCH_TUNE_SCHEMA,
     render_bench_tune,
     run_bench_tune,
     validate_bench_tune,
-    write_bench_tune,
 )
 
 
@@ -74,7 +74,7 @@ class TestMiniatureRun:
         assert det["ok"]
 
     def test_write_and_render(self, report, tmp_path):
-        path = write_bench_tune(report, str(tmp_path / "BENCH_tune.json"))
+        path = write_report(report, str(tmp_path / "BENCH_tune.json"), validate_bench_tune)
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh)["schema"] == BENCH_TUNE_SCHEMA
         text = render_bench_tune(report)
