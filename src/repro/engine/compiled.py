@@ -122,6 +122,21 @@ WHEEL_FORMAT = "repro/compiled-wheel/v1"
 ACCEPTANCE_FORMAT = "repro/acceptance-wheel/v1"
 
 
+def integer_indices(indices) -> np.ndarray:
+    """``indices`` as a flat ``int64`` array; ``ValueError`` names the
+    first one that is not an integer (a bare cast would turn 0.5 into 0)."""
+    flat = np.asarray(indices).ravel()
+    if flat.dtype.kind not in "biu":
+        if flat.dtype.kind == "f":
+            whole = np.isfinite(flat) & (np.trunc(flat) == flat)
+        else:
+            whole = np.zeros(flat.shape, dtype=bool)
+        if not whole.all():
+            bad = flat[~whole][0]
+            raise ValueError(f"update index {bad.item()!r} is not an integer")
+    return flat.astype(np.int64, copy=False)
+
+
 def _canonical_delta(
     indices, values, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,7 +147,7 @@ def _canonical_delta(
     Validation is atomic and O(k): a bad index or value raises before
     any caller state changes.
     """
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+    idx = integer_indices(indices)
     vals = np.asarray(values, dtype=np.float64).ravel()
     if idx.shape != vals.shape:
         raise ValueError(

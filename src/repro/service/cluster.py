@@ -1,20 +1,21 @@
 """Sharded multi-core serving cluster: process-pool kernel executors.
 
-One asyncio front end, N worker processes.  Each worker runs the PR 5
-kernel executor — a private :class:`~repro.service.registry.WheelRegistry`
-plus :class:`~repro.service.scheduler.MicroBatchScheduler` on its own
-event loop — so draws for a wheel batch densely on the core that owns
-it while the front end only routes, frames, and correlates.
+One asyncio front end, N worker processes.  Each worker serves through
+its own :class:`~repro.service.server.SelectionService`, the in-process
+service unchanged, so draws for a wheel batch densely on the core that
+owns it and a request gets the same response, errors included, on any
+pool size.  The front end only routes, seeds, correlates and drains.
 
 The four structural pieces:
 
 * **The batched shard hop** (:class:`_Hop`): each end of a shard's
   pipe keeps an outbox.  Everything queued during one event-loop tick
   leaves as a single ``("batch", items, draws)`` message, flushed by
-  one ``loop.call_soon`` callback: the front end batches the requests
-  its clients issued in that tick, the shard batches the replies its
-  micro-batcher completed.  Draw replies travel as one concatenated
-  ``int64`` buffer that the front end slices back apart.  Flushing at
+  one ``loop.call_soon`` callback: the front end batches the
+  ``("req", tag, request)`` items its clients issued in that tick, the
+  shard batches the responses its service completed.  Draw replies
+  travel as one concatenated ``int64`` buffer that the front end slices
+  back apart.  Flushing at
   the end of the tick adds no waiting and no knob; under load it turns
   two pickled messages per request into two per *tick*.  If a shard's
   pipe breaks, every request outstanding on it fails with the typed
@@ -56,19 +57,15 @@ import numpy as np
 
 from repro.errors import ServiceDrainingError, ServiceError, ShardUnavailableError
 from repro.service.metrics import BatchSizeHistogram, ServiceMetrics
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    STRUCTURED_ERRORS,
-    error_response,
-    ok_response,
-)
+from repro.service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from repro.service.registry import (
     DEFAULT_MAX_WHEELS,
-    WheelRegistry,
     base_id,
+    register_tokens,
     wheel_digest,
 )
-from repro.service.scheduler import BatchConfig, MicroBatchScheduler
+from repro.service.scheduler import BatchConfig
+from repro.service.server import SelectionService
 from repro.service.shm import SharedWheelStore
 
 __all__ = ["HashRing", "ClusterService", "DEFAULT_VNODES"]
@@ -122,10 +119,13 @@ class _Hop:
     :meth:`post` queues an item; the first post of a tick schedules one
     :meth:`flush` with ``loop.call_soon``, so the flush runs after every
     callback already due in that tick and sends everything queued as a
-    single ``("batch", items, draws)`` message.  ``draws`` concatenates
-    the arrays of :meth:`post_draws` items, which travel as
-    ``("draws", tag, n)``, so a batch of draw replies pickles as one
-    ``int64`` buffer (``None`` when the batch carries no draws).
+    single ``("batch", items, draws)`` message.  The front end posts
+    ``("req", tag, request)`` items, plus ``("stats", tag)`` and
+    ``("stop", tag)``; the shard answers each with
+    ``("resp", tag, response)``, except that an ok draw goes through
+    :meth:`post_draws` as ``("draws", tag, n)`` with its array
+    concatenated into ``draws``, so a batch of draw replies pickles as
+    one ``int64`` buffer (``None`` when the batch carries no draws).
 
     A daemon thread (``reader``) blocks on ``conn.recv`` and hands each
     batch to ``deliver(items, draws)`` on the loop.  Writes happen on the
@@ -250,79 +250,55 @@ async def _worker_loop(
     policy: str,
     store_path: Optional[str],
 ) -> None:
-    """Receive command batches, serve them through the shard's own scheduler.
+    """Serve the hop's ``("req", tag, request)`` items through one
+    :class:`SelectionService`.
 
-    Concurrency model: the shard's :class:`_Hop` reader thread hands
-    each received batch to the event loop, where every item becomes a
-    task awaiting ``scheduler.draw`` (or ``update``/``register``).  The
-    items of one batch, like those of consecutive batches, coalesce in
-    the shard's micro-batcher exactly as concurrent TCP clients do in a
-    single-process service.  Each finished task posts its reply to the
-    hop's outbox, so the replies of one micro-batch flush leave in one
-    message.  ``stop`` closes the scheduler, waits for every reply task,
+    The shard's :class:`_Hop` reader thread hands each received batch to
+    the event loop, where every request becomes a task awaiting
+    ``service.handle_request``; requests of one or consecutive batches
+    coalesce in its micro-batcher exactly as concurrent TCP clients do,
+    and the replies of one micro-batch flush leave in one message.
+    ``("stats", tag)`` answers :meth:`SelectionService.snapshot`.
+    ``("stop", tag)`` closes the service, waits for every reply task,
     sends its acknowledgement last, and ends the loop; so does losing
     the pipe.
     """
     store = SharedWheelStore(path=store_path) if store_path else None
-    metrics = ServiceMetrics()
-    registry = WheelRegistry(max_wheels=max_wheels, policy=policy, store=store)
-    scheduler = MicroBatchScheduler(registry, config, seed=seed, metrics=metrics)
+    service = SelectionService(
+        seed=seed, config=config, max_wheels=max_wheels, policy=policy, store=store
+    )
     loop = asyncio.get_running_loop()
     finished = loop.create_future()
     tasks: set = set()
 
-    async def serve_one(item) -> None:
-        op, tag = item[0], item[1]
-        try:
-            if op == "draw":
-                _, _, wheel_id, n, req_seed, deadline_us = item
-                draws = await scheduler.draw(
-                    wheel_id, n, seed=req_seed, deadline_us=deadline_us
-                )
-                hop.post_draws(tag, draws)
-                return
-            if op == "register":
-                _, _, values, method, reg_policy, backend = item
-                wheel_id, cached = registry.register(
-                    values, method=method, policy=reg_policy, backend=backend
-                )
-                reply = {"wheel": wheel_id, "cached": cached}
-            elif op == "update":
-                _, _, wheel_id, indices, values = item
-                new_id, info = await scheduler.update(wheel_id, indices, values)
-                reply = {"wheel": new_id, **info}
-            elif op == "stats":
-                reply = metrics.snapshot(
-                    extra={
-                        "shard": shard_id,
-                        "queued": scheduler.queued,
-                        "registry": registry.stats(),
-                    }
-                )
-            else:
-                hop.post(("err", tag, "ProtocolError", f"unknown worker op {op!r}"))
-                return
-            hop.post(("ok", tag, reply))
-        except Exception as exc:  # noqa: BLE001 - answered, not raised
-            hop.post(("err", tag, type(exc).__name__, str(exc)))
+    async def serve(tag, request) -> None:
+        response = await service.handle_request(request)
+        draws = response.get("draws")
+        if draws is None:
+            hop.post(("resp", tag, response))
+        else:
+            hop.post_draws(tag, draws)
 
     async def stop(tag) -> None:
         # Flush in-flight micro-batches, let their reply tasks run, then
         # acknowledge last: the parent holds the drain barrier on this
         # ack, which is what makes shutdown lossless.
-        await scheduler.close()
+        await service.close()
         pending = tasks - {asyncio.current_task()}
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        hop.post(("ok", tag, {"shard": shard_id}))
+        hop.post(("resp", tag, {"shard": shard_id}))
         hop.flush()
         if not finished.done():
             finished.set_result(None)
 
     def deliver(items, _draws) -> None:
         for item in items:
-            coro = stop(item[1]) if item[0] == "stop" else serve_one(item)
-            task = loop.create_task(coro)
+            kind, tag = item[0], item[1]
+            if kind == "stats":
+                hop.post(("resp", tag, service.snapshot(shard_id)))
+                continue
+            task = loop.create_task(serve(tag, item[2]) if kind == "req" else stop(tag))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
 
@@ -341,6 +317,19 @@ async def _worker_loop(
 # ----------------------------------------------------------------------
 # Front end
 # ----------------------------------------------------------------------
+
+
+def _packed(request: Dict[str, Any]) -> Dict[str, Any]:
+    """``request`` with numeric list fields as ndarrays, which pickle as
+    one buffer; other fields travel as sent, for the shard to refuse."""
+    for key in ("fitness", "indices", "values"):
+        try:
+            array = np.asarray(request[key]) if isinstance(request.get(key), list) else None
+        except (TypeError, ValueError):
+            continue
+        if array is not None and array.dtype.kind in "biuf":
+            request = {**request, key: array}
+    return request
 
 
 class _Shard:
@@ -380,7 +369,7 @@ class ClusterService:
         Service master seed, passed verbatim to every shard — the reason
         any pool size answers identically.
     config / max_wheels / policy:
-        Per-shard scheduler and registry knobs (as in PR 5).
+        Settings of each shard's :class:`SelectionService`.
     vnodes:
         Virtual nodes per shard on the routing ring.
     start_method:
@@ -466,18 +455,13 @@ class ClusterService:
     def _resolve(self, shard: _Shard, items: list, draws) -> None:
         offset = 0
         for item in items:
-            kind, tag = item[0], item[1]
-            if kind == "draws":
-                result = draws[offset : offset + item[2]]
+            result = item[2]
+            if item[0] == "draws":
+                result = draws[offset : offset + result]
                 offset += item[2]
-            future = shard.outstanding.pop(tag, None)
-            if future is None or future.done():  # pragma: no cover - late reply
-                continue
-            if kind == "err":
-                exc_type = STRUCTURED_ERRORS.get(item[2], ServiceError)
-                future.set_exception(exc_type(item[3]))
-            else:
-                future.set_result(result if kind == "draws" else item[2])
+            future = shard.outstanding.pop(item[1], None)
+            if future is not None and not future.done():
+                future.set_result(result)
 
     def _shard_lost(self, shard: _Shard, exc: BaseException) -> None:
         """Fail everything outstanding on a shard whose pipe broke."""
@@ -487,7 +471,8 @@ class ClusterService:
             if not future.done():
                 future.set_exception(ShardUnavailableError(shard.lost))
 
-    async def _call(self, shard: _Shard, op: str, *payload: Any) -> Any:
+    async def _call(self, shard: _Shard, kind: str, *payload: Any) -> Any:
+        """Post one hop item and await the shard's answer to it."""
         self._ensure_started()
         if shard.lost is not None:
             raise ShardUnavailableError(shard.lost)
@@ -495,14 +480,29 @@ class ClusterService:
         tag = self._tag
         future = self._loop.create_future()
         shard.outstanding[tag] = future
-        shard.hop.post((op, tag, *payload))
+        shard.hop.post((kind, tag, *payload))
         return await future
 
-    def _shard_for(self, wheel_id: str) -> _Shard:
-        # Route by the *root* id: every version of a wheel (its delta
-        # chain) lives on the shard that owns the root, so an UPDATE and
-        # the draws against the id it mints coalesce on one worker.
-        shard = self._shards[self.ring.lookup(base_id(wheel_id))]
+    def _shard_for(self, request: Dict[str, Any]) -> _Shard:
+        # A register routes by the id the shard's registry will mint;
+        # the rest by the *root* id, so every version of a wheel lives on
+        # the shard owning the root and an UPDATE and the draws against
+        # the id it mints coalesce there.  A request too malformed to
+        # route goes to a fixed shard, which refuses it as in-process.
+        try:
+            if request["op"] == "register":
+                method, policy, _ = register_tokens(
+                    request.get("method"),
+                    request.get("policy"),
+                    request.get("backend"),
+                    self.policy,
+                )
+                key = wheel_digest(request["fitness"], method, policy)
+            else:
+                key = base_id(request["wheel"])
+        except Exception:  # noqa: BLE001 - refused by the shard instead
+            key = ""
+        shard = self._shards[self.ring.lookup(key)]
         shard.routed += 1
         return shard
 
@@ -529,79 +529,44 @@ class ClusterService:
                 raise ServiceDrainingError(
                     "service is draining; retry against another replica"
                 )
-            if op == "register":
-                return await self._register(request, request_id)
-            if op == "update":
-                return await self._update(request, request_id)
-            # op == "draw" (decode_request admits nothing else)
-            return await self._draw(request, request_id)
+            return await self._forward(request)
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             return error_response(exc, request_id)
 
-    async def handle_line(self, line: str) -> Dict[str, Any]:
-        """Decode, dispatch, and answer one JSON wire line.  Never raises."""
-        from repro.service.protocol import decode_request
+    handle_line = SelectionService.handle_line
 
-        try:
-            request = decode_request(line)
-        except Exception as exc:  # noqa: BLE001 - answered, not raised
-            return error_response(exc)
-        return await self.handle_request(request)
-
-    async def _register(self, request: Dict[str, Any], request_id) -> Dict[str, Any]:
-        method = request.get("method", "log_bidding")
-        policy = request.get("policy") or self.policy
-        backend = request.get("backend") or "compiled"
-        values = np.ascontiguousarray(
-            np.asarray(request["fitness"], dtype=np.float64)
-        )
-        # The content address is computed front-side purely to *route*;
-        # the owning worker re-derives it inside its registry (ids are
-        # position-free, so both derivations agree by construction).
-        # The acceptance backend pins its method/policy tokens, so the
-        # routing digest must mirror the registry's pinning exactly.
-        if backend == "stochastic_acceptance" and method != "independent":
-            wheel_id = wheel_digest(values, "stochastic_acceptance", "sa")
+    async def _forward(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Route one register/update/draw to its shard; return its response."""
+        op = request["op"]
+        if op == "draw":
+            n = int(request.get("n", 1))
+            if request.get("seed") is None:
+                # Auto-seeds are assigned centrally (front-end arrival
+                # order), never per worker — so the draw stream for a
+                # fixed arrival order is independent of the pool size.
+                request = {**request, "seed": self._request_counter}
+                self._request_counter += 1
+            self.metrics.enqueued(n)
         else:
-            wheel_id = wheel_digest(values, method, policy)
-        shard = self._shard_for(wheel_id)
-        reply = await self._call(shard, "register", values, method, policy, backend)
-        return ok_response(request_id, **reply)
-
-    async def _update(self, request: Dict[str, Any], request_id) -> Dict[str, Any]:
-        wheel_id = request["wheel"]
-        indices = np.ascontiguousarray(np.asarray(request["indices"], dtype=np.int64))
-        values = np.ascontiguousarray(np.asarray(request["values"], dtype=np.float64))
-        shard = self._shard_for(wheel_id)
+            request = _packed(request)
+        shard = self._shard_for(request)
         start = time.monotonic()
-        reply = await self._call(shard, "update", wheel_id, indices, values)
-        self.metrics.updated(int(indices.size), time.monotonic() - start)
-        return ok_response(request_id, **reply)
-
-    async def _draw(self, request: Dict[str, Any], request_id) -> Dict[str, Any]:
-        wheel_id = request["wheel"]
-        n = int(request.get("n", 1))
-        seed = request.get("seed")
-        if seed is None:
-            # Auto-seeds are assigned centrally (front-end arrival
-            # order), never per worker — so the draw stream for a fixed
-            # arrival order is independent of the pool size.
-            seed = self._request_counter
-            self._request_counter += 1
-        shard = self._shard_for(wheel_id)
-        start = time.monotonic()
-        self.metrics.enqueued(n)
         try:
-            draws = await self._call(
-                shard, "draw", wheel_id, n, int(seed), request.get("deadline_us")
-            )
-        except Exception:
+            response = await self._call(shard, "req", request)
+        except Exception as exc:  # noqa: BLE001 - answered, not raised
+            response = error_response(exc, request.get("id"))
+        if isinstance(response, np.ndarray):
+            response = ok_response(request.get("id"), draws=response)
+        ok = response["status"] == "ok"
+        if op == "draw":
             self.metrics.dequeued()
-            self.metrics.errored()
-            raise
-        self.metrics.dequeued()
-        self.metrics.served(time.monotonic() - start)
-        return ok_response(request_id, draws=draws)
+            if ok:
+                self.metrics.served(time.monotonic() - start)
+            else:
+                self.metrics.errored()
+        elif op == "update" and ok:
+            self.metrics.updated(len(request["indices"]), time.monotonic() - start)
+        return response
 
     # ------------------------------------------------------------------
     async def _metrics(self) -> Dict[str, Any]:

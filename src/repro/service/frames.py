@@ -52,7 +52,9 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.compiled import integer_indices
 from repro.errors import ProtocolError
+from repro.service.protocol import validate_request
 
 __all__ = [
     "MAGIC",
@@ -228,6 +230,13 @@ def encode_value(buf: bytearray, value: Any) -> None:
         raise ProtocolError(f"value of type {type(value).__name__} is not wireable")
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"{what} is not valid UTF-8: {exc}") from None
+
+
 def _need(mv: memoryview, offset: int, count: int) -> None:
     if offset + count > len(mv):
         raise ProtocolError(
@@ -264,7 +273,7 @@ def parse_value(mv: memoryview, offset: int = 0) -> Tuple[Any, int]:
         _need(mv, offset, length)
         raw = bytes(mv[offset : offset + length])
         offset += length
-        return (raw.decode("utf-8") if tag == _T_STR else raw), offset
+        return (_utf8(raw, "wire string") if tag == _T_STR else raw), offset
     if tag == _T_NDARRAY:
         _need(mv, offset, 5)
         code = mv[offset]
@@ -295,7 +304,7 @@ def parse_value(mv: memoryview, offset: int = 0) -> Tuple[Any, int]:
             klen = _U16.unpack_from(mv, offset)[0]
             offset += 2
             _need(mv, offset, klen)
-            key = bytes(mv[offset : offset + klen]).decode("utf-8")
+            key = _utf8(bytes(mv[offset : offset + klen]), "wire dict key")
             offset += klen
             out[key], offset = parse_value(mv, offset)
         return out, offset
@@ -370,32 +379,26 @@ _OPT_HAS_SEED = 0x01
 _OPT_HAS_DEADLINE = 0x02
 
 
-def _encode_draw_body(request: Dict[str, Any]) -> bytes:
-    wheel = request["wheel"]
-    if not isinstance(wheel, str):
-        raise ProtocolError(f"draw 'wheel' must be a string, got {wheel!r}")
-    raw = wheel.encode("utf-8")
+def _wheel_bytes(request: Dict[str, Any]) -> bytes:
+    raw = request["wheel"].encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ProtocolError(f"wheel id of {len(raw)} bytes exceeds the wire limit")
+    return raw
+
+
+def _encode_draw_body(request: Dict[str, Any]) -> bytes:
+    raw = _wheel_bytes(request)
     n = request.get("n", 1)
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0 or n >= (1 << 32):
+    if n >= (1 << 32):
         raise ProtocolError(f"draw 'n' must be a positive u32, got {n!r}")
     opts = 0
     seed = request.get("seed")
     if seed is not None:
-        if (
-            not isinstance(seed, int)
-            or isinstance(seed, bool)
-            or not _INT64_MIN <= seed <= _INT64_MAX
-        ):
+        if not _INT64_MIN <= seed <= _INT64_MAX:
             raise ProtocolError(f"draw 'seed' must be an i64, got {seed!r}")
         opts |= _OPT_HAS_SEED
     deadline_us = request.get("deadline_us")
     if deadline_us is not None:
-        if not isinstance(deadline_us, (int, float)) or isinstance(deadline_us, bool):
-            raise ProtocolError(
-                f"draw 'deadline_us' must be a number, got {deadline_us!r}"
-            )
         opts |= _OPT_HAS_DEADLINE
     return (
         _U16.pack(len(raw))
@@ -416,10 +419,8 @@ def _parse_draw_body(body: bytes) -> Dict[str, Any]:
         raise ProtocolError(
             f"{len(body) - 2 - wlen - _DRAW_TAIL.size} trailing bytes in DRAW body"
         )
-    wheel = bytes(mv[2 : 2 + wlen]).decode("utf-8")
+    wheel = _utf8(bytes(mv[2 : 2 + wlen]), "DRAW wheel id")
     n, opts, seed, deadline = _DRAW_TAIL.unpack_from(mv, 2 + wlen)
-    if n <= 0:
-        raise ProtocolError(f"draw 'n' must be positive, got {n}")
     request: Dict[str, Any] = {"op": "draw", "wheel": wheel, "n": n}
     if opts & _OPT_HAS_SEED:
         request["seed"] = seed
@@ -435,33 +436,22 @@ def _parse_draw_body(body: bytes) -> Dict[str, Any]:
 
 
 def _encode_update_body(request: Dict[str, Any]) -> bytes:
-    wheel = request["wheel"]
-    if not isinstance(wheel, str):
-        raise ProtocolError(f"update 'wheel' must be a string, got {wheel!r}")
-    raw = wheel.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ProtocolError(f"wheel id of {len(raw)} bytes exceeds the wire limit")
+    raw = _wheel_bytes(request)
     try:
-        indices = np.ascontiguousarray(np.asarray(request["indices"], dtype="<i8"))
-        values = np.ascontiguousarray(np.asarray(request["values"], dtype="<f8"))
+        indices = np.asarray(request["indices"])
+        values = np.ascontiguousarray(request["values"], dtype="<f8")
+        wire_indices = integer_indices(indices).astype("<i8", copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"update delta is not numeric: {exc}") from None
+        raise ProtocolError(f"update delta is invalid: {exc}") from None
     if indices.ndim != 1 or values.ndim != 1:
         raise ProtocolError("update 'indices' and 'values' must be 1-d")
-    if indices.size != values.size:
-        raise ProtocolError(
-            f"update 'indices' and 'values' must match, "
-            f"got {indices.size} vs {values.size}"
-        )
-    if indices.size == 0:
-        raise ProtocolError("update requires a non-empty delta")
     if indices.size >= (1 << 32):
         raise ProtocolError(f"update delta of {indices.size} entries exceeds u32")
     return (
         _U16.pack(len(raw))
         + raw
         + _U32.pack(indices.size)
-        + indices.tobytes()
+        + wire_indices.tobytes()
         + values.tobytes()
     )
 
@@ -471,10 +461,8 @@ def _parse_update_body(body: bytes) -> Dict[str, Any]:
     _need(mv, 0, 2)
     wlen = _U16.unpack_from(mv, 0)[0]
     _need(mv, 2, wlen + 4)
-    wheel = bytes(mv[2 : 2 + wlen]).decode("utf-8")
+    wheel = _utf8(bytes(mv[2 : 2 + wlen]), "UPDATE wheel id")
     count = _U32.unpack_from(mv, 2 + wlen)[0]
-    if count == 0:
-        raise ProtocolError("UPDATE delta is empty")
     offset = 2 + wlen + 4
     nbytes = count * 8
     if offset + 2 * nbytes != len(body):
@@ -514,9 +502,19 @@ _OP_TO_EMPTY_FTYPE = {"ping": FT_PING, "metrics": FT_METRICS, "stats": FT_STATS}
 _FTYPE_TO_OP = {v: k for k, v in _OP_TO_EMPTY_FTYPE.items()}
 
 
+#: Keys a REGISTER kvmap carries over from the request dict.
+_REGISTER_KEYS = ("fitness", "method", "policy", "backend")
+
+
 def request_to_frame(request: Dict[str, Any]) -> bytes:
-    """Encode a protocol request dict (client side)."""
-    op = request.get("op")
+    """Encode a protocol request dict (client side).
+
+    The request must pass :func:`~repro.service.protocol.validate_request`
+    and fit the wire: update indices must be integers, since a cast would
+    silently truncate them.
+    """
+    validate_request(request)
+    op = request["op"]
     request_id = request.get("id")
     if op in _OP_TO_EMPTY_FTYPE:
         return encode_frame(_OP_TO_EMPTY_FTYPE[op], b"", request_id)
@@ -524,25 +522,20 @@ def request_to_frame(request: Dict[str, Any]) -> bytes:
         return encode_frame(FT_DRAW, _encode_draw_body(request), request_id)
     if op == "update":
         return encode_frame(FT_UPDATE, _encode_update_body(request), request_id)
-    if op == "register":
-        fitness = np.ascontiguousarray(
-            np.asarray(request["fitness"], dtype=np.float64)
-        )
-        payload: Dict[str, Any] = {"fitness": fitness}
-        if request.get("method") is not None:
-            payload["method"] = str(request["method"])
-        if request.get("policy") is not None:
-            payload["policy"] = str(request["policy"])
-        if request.get("backend") is not None:
-            payload["backend"] = str(request["backend"])
-        return encode_frame(FT_REGISTER, _kvmap_bytes(payload), request_id)
-    raise ProtocolError(f"op {op!r} has no frame encoding")
+    payload = {k: request[k] for k in _REGISTER_KEYS if request.get(k) is not None}
+    payload["fitness"] = np.ascontiguousarray(payload["fitness"], dtype=np.float64)
+    return encode_frame(FT_REGISTER, _kvmap_bytes(payload), request_id)
 
 
 def frame_to_request(
     ftype: int, body: bytes, request_id: Optional[int]
 ) -> Dict[str, Any]:
-    """Decode a request frame into the dict the service handler expects."""
+    """Decode a request frame into the dict the service handler expects.
+
+    Only the frame's structure (lengths, tags, trailing bytes) is checked
+    here; the request rules are
+    :func:`~repro.service.protocol.validate_request`'s, as on JSON-lines.
+    """
     if ftype in _FTYPE_TO_OP:
         if body:
             raise ProtocolError(
@@ -555,23 +548,15 @@ def frame_to_request(
         request = _parse_update_body(body)
     elif ftype == FT_REGISTER:
         payload = _parse_kvmap(body)
-        fitness = payload.get("fitness")
-        if not isinstance(fitness, np.ndarray) or fitness.size == 0:
-            raise ProtocolError("REGISTER requires a non-empty 'fitness' array")
-        request = {"op": "register", "fitness": np.asarray(fitness, dtype=np.float64)}
-        if "method" in payload:
-            request["method"] = payload["method"]
-        if "policy" in payload:
-            request["policy"] = payload["policy"]
-        if "backend" in payload:
-            request["backend"] = payload["backend"]
+        request = {"op": "register"}
+        request.update((k, payload[k]) for k in _REGISTER_KEYS if k in payload)
     else:
         raise ProtocolError(
             f"frame type {_FTYPE_NAMES.get(ftype, hex(ftype))} is not a request"
         )
     if request_id is not None:
         request["id"] = request_id
-    return request
+    return validate_request(request)
 
 
 def response_to_frame(response: Dict[str, Any]) -> bytes:

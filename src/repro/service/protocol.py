@@ -67,6 +67,7 @@ from repro.errors import (
 __all__ = [
     "PROTOCOL_VERSION",
     "decode_request",
+    "validate_request",
     "encode_response",
     "error_response",
     "ok_response",
@@ -103,16 +104,65 @@ STRUCTURED_ERRORS = {
 _VALID_OPS = ("register", "draw", "update", "metrics", "stats", "ping")
 
 
-def decode_request(line: str) -> Dict[str, Any]:
-    """Parse one request line into a validated dict.
+def _is_array(value: Any) -> bool:
+    """A non-empty list (JSON) or 1-d ndarray (frames)."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 1 and value.size > 0
+    return isinstance(value, list) and len(value) > 0
 
-    Raises
-    ------
-    ProtocolError
-        Not JSON, not an object, missing/unknown ``op``, or op-specific
-        required fields absent or of the wrong shape.  The message is
-        specific enough to debug from the client side alone.
+
+def validate_request(request: Dict[str, Any]) -> Dict[str, Any]:
+    """Check the op-level rules of both wires; returns ``request``.
+
+    :func:`decode_request` and :func:`repro.service.frames.frame_to_request`
+    both end here.  An array field may be a list or a 1-d ndarray.
+    Raises :class:`ProtocolError` naming the offending field.
     """
+    op = request.get("op")
+    if op in ("draw", "update") and type(request.get("wheel")) is not str:
+        raise ProtocolError(f"{op} requires a string 'wheel' id")
+    # Checked most frequent first; ``type(x) is int`` refuses bools.
+    if op == "draw":
+        n = request.get("n", 1)
+        if type(n) is not int or n <= 0:
+            raise ProtocolError(f"draw 'n' must be a positive integer, got {n!r}")
+        seed = request.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise ProtocolError(f"draw 'seed' must be an integer, got {seed!r}")
+        deadline_us = request.get("deadline_us")
+        if deadline_us is not None and type(deadline_us) not in (int, float):
+            raise ProtocolError(
+                f"draw 'deadline_us' must be a number, got {deadline_us!r}"
+            )
+    elif op == "update":
+        indices = request.get("indices")
+        values = request.get("values")
+        if not _is_array(indices):
+            raise ProtocolError("update requires a non-empty 'indices' array")
+        if not _is_array(values):
+            raise ProtocolError("update requires a non-empty 'values' array")
+        if len(indices) != len(values):
+            raise ProtocolError(
+                f"update 'indices' and 'values' must match, "
+                f"got {len(indices)} vs {len(values)}"
+            )
+    elif op == "register":
+        if not _is_array(request.get("fitness")):
+            raise ProtocolError("register requires a non-empty 'fitness' array")
+        for key in ("method", "policy", "backend"):
+            value = request.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ProtocolError(f"register {key!r} must be a string, got {value!r}")
+    elif op not in _VALID_OPS:
+        raise ProtocolError(
+            f"unknown op {op!r}; expected one of {', '.join(_VALID_OPS)}"
+        )
+    return request
+
+
+def decode_request(line: str) -> Dict[str, Any]:
+    """Parse one request line; :class:`ProtocolError` if it is not a JSON
+    object that :func:`validate_request` accepts."""
     try:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -121,44 +171,7 @@ def decode_request(line: str) -> Dict[str, Any]:
         raise ProtocolError(
             f"request must be a JSON object, got {type(request).__name__}"
         )
-    op = request.get("op")
-    if op not in _VALID_OPS:
-        raise ProtocolError(
-            f"unknown op {op!r}; expected one of {', '.join(_VALID_OPS)}"
-        )
-    if op == "register":
-        fitness = request.get("fitness")
-        if not isinstance(fitness, list) or not fitness:
-            raise ProtocolError("register requires a non-empty 'fitness' array")
-        backend = request.get("backend")
-        if backend is not None and not isinstance(backend, str):
-            raise ProtocolError(
-                f"register 'backend' must be a string, got {backend!r}"
-            )
-    elif op == "update":
-        if not isinstance(request.get("wheel"), str):
-            raise ProtocolError("update requires a string 'wheel' id")
-        indices = request.get("indices")
-        values = request.get("values")
-        if not isinstance(indices, list) or not indices:
-            raise ProtocolError("update requires a non-empty 'indices' array")
-        if not isinstance(values, list) or not values:
-            raise ProtocolError("update requires a non-empty 'values' array")
-        if len(indices) != len(values):
-            raise ProtocolError(
-                f"update 'indices' and 'values' must match, "
-                f"got {len(indices)} vs {len(values)}"
-            )
-    elif op == "draw":
-        if not isinstance(request.get("wheel"), str):
-            raise ProtocolError("draw requires a string 'wheel' id")
-        n = request.get("n", 1)
-        if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-            raise ProtocolError(f"draw 'n' must be a positive integer, got {n!r}")
-        seed = request.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-            raise ProtocolError(f"draw 'seed' must be an integer, got {seed!r}")
-    return request
+    return validate_request(request)
 
 
 def _json_default(value: Any):
@@ -204,7 +217,10 @@ def error_response(
     Shedding and expiry get ``status: "overloaded"`` (retryable), a
     graceful shutdown gets ``status: "draining"`` (retry elsewhere);
     everything else is ``status: "error"``.  The concrete class name
-    rides in ``error`` either way, so clients keep full fidelity.
+    rides in ``error`` either way, so clients keep full fidelity.  The
+    message is the exception's text; for ``KeyError`` subclasses such as
+    :class:`UnknownWheelError` that is its first argument, since
+    ``str()`` of a ``KeyError`` quotes it.
     """
     if isinstance(exc, ServiceDrainingError):
         status = "draining"
@@ -212,10 +228,11 @@ def error_response(
         status = "overloaded"
     else:
         status = "error"
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
     response: Dict[str, Any] = {
         "status": status,
         "error": type(exc).__name__,
-        "message": str(exc),
+        "message": str(message),
     }
     if request_id is not None:
         response["id"] = request_id

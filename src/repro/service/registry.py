@@ -62,6 +62,7 @@ __all__ = [
     "digest_key",
     "base_id",
     "version_id",
+    "register_tokens",
     "WheelRegistry",
     "DEFAULT_MAX_WHEELS",
     "BACKENDS",
@@ -97,6 +98,35 @@ def wheel_digest(fitness, method: str, policy: str) -> str:
     h.update(np.int64(values.size).tobytes())
     h.update(values.tobytes())
     return f"{_DIGEST_PREFIX}:{h.hexdigest()}"
+
+
+def register_tokens(
+    method: Optional[str] = None,
+    policy: Optional[str] = None,
+    backend: Optional[str] = None,
+    default_policy: str = "auto",
+) -> Tuple[str, str, str]:
+    """The ``(method, policy, backend)`` a registration is built and
+    digested under (``None`` takes the default), shared by the registry
+    and the cluster's routing.  The acceptance backend pins the method
+    to ``stochastic_acceptance`` (its bit-contract is the Lipowski &
+    Lipowska loop) and the policy to ``"sa"``, which keeps acceptance
+    wheels from aliasing compiled ones.
+    """
+    method = "log_bidding" if method is None else method
+    policy = default_policy if policy is None else str(policy)
+    backend = "compiled" if backend is None else str(backend)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    if backend == "stochastic_acceptance":
+        if method == "independent":
+            raise ValueError(
+                "the stochastic_acceptance backend serves the exact "
+                "distribution; the independent baseline's bias cannot "
+                "ride on it"
+            )
+        return "stochastic_acceptance", "sa", backend
+    return method, policy, backend
 
 
 def digest_key(wheel_id: str) -> int:
@@ -242,7 +272,7 @@ class WheelRegistry:
     def register(
         self,
         fitness,
-        method: str = "log_bidding",
+        method: Optional[str] = "log_bidding",
         policy: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> Tuple[str, bool]:
@@ -256,26 +286,11 @@ class WheelRegistry:
 
         ``backend="stochastic_acceptance"`` serves the wheel through the
         update-free rejection sampler instead of a compiled kernel: no
-        tables are built, the only derived state is the running max
-        weight, and the method is pinned to ``stochastic_acceptance``
-        (the bit-contract is the Lipowski & Lipowska propose/accept
-        loop; every exact method's distribution is the same ``F_i``).
+        tables are built and the only derived state is the running max
+        weight.  :func:`register_tokens` resolves the defaults and the
+        acceptance backend's pinned tokens.
         """
-        policy = self.policy if policy is None else str(policy)
-        backend = "compiled" if backend is None else str(backend)
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if backend == "stochastic_acceptance":
-            if method == "independent":
-                raise ValueError(
-                    "the stochastic_acceptance backend serves the exact "
-                    "distribution; the independent baseline's bias cannot "
-                    "ride on it"
-                )
-            method = "stochastic_acceptance"
-            # The rejection sampler has no kernel; "sa" is its digest
-            # token so acceptance wheels never alias compiled ones.
-            policy = "sa"
+        method, policy, backend = register_tokens(method, policy, backend, self.policy)
         fitness = fitness if isinstance(fitness, FitnessVector) else FitnessVector(fitness)
         wheel_id = wheel_digest(fitness.values, method, policy)
         with self._lock:

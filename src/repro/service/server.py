@@ -5,7 +5,10 @@ decoded request dicts and returns response dicts, never raising (every
 failure becomes a structured error response).  ``serve_tcp`` and
 ``serve_stdio`` wrap it in the two transports ``python -m repro serve``
 offers; a :class:`~repro.service.cluster.ClusterService` exposes the
-same surface, so every transport serves a sharded pool unchanged.
+same surface, so every transport serves a sharded pool unchanged.  It
+is also the only request dispatcher: each cluster shard runs one over
+the shared wheel store, and the front end only routes, so a request
+gets the same answer in-process and on any pool size.
 
 Each TCP connection picks its wire format by its very first byte: the
 binary-frame magic ``0xA5`` selects length-prefixed frames
@@ -57,6 +60,9 @@ class SelectionService:
         Scheduler knobs; defaults are the bench-serve tuning.
     max_wheels / policy:
         Registry capacity and default kernel policy.
+    store:
+        Optional :class:`~repro.service.shm.SharedWheelStore` the
+        registry dedupes compilation through (a cluster shard's).
     """
 
     def __init__(
@@ -66,9 +72,10 @@ class SelectionService:
         config: Optional[BatchConfig] = None,
         max_wheels: int = DEFAULT_MAX_WHEELS,
         policy: str = "auto",
+        store=None,
     ) -> None:
         self.metrics = ServiceMetrics()
-        self.registry = WheelRegistry(max_wheels=max_wheels, policy=policy)
+        self.registry = WheelRegistry(max_wheels=max_wheels, policy=policy, store=store)
         self.scheduler = MicroBatchScheduler(
             self.registry, config, seed=seed, metrics=self.metrics
         )
@@ -109,7 +116,7 @@ class SelectionService:
             if op == "register":
                 wheel_id, cached = self.registry.register(
                     request["fitness"],
-                    method=request.get("method", "log_bidding"),
+                    method=request.get("method"),
                     policy=request.get("policy"),
                     backend=request.get("backend"),
                 )
@@ -119,7 +126,7 @@ class SelectionService:
                     request["wheel"], request["indices"], request["values"]
                 )
                 return ok_response(request_id, wheel=wheel_id, **info)
-            # op == "draw" (decode_request admits nothing else)
+            # op == "draw" (validate_request admits nothing else)
             draws = await self.scheduler.draw(
                 request["wheel"],
                 request.get("n", 1),
@@ -142,16 +149,18 @@ class SelectionService:
             "routed": {"0": self.metrics.requests_total},
             "routing_max_share": 1.0,
             "frontend": self.metrics.snapshot(),
-            "shards": [
-                self.metrics.snapshot(
-                    extra={
-                        "shard": 0,
-                        "queued": self.scheduler.queued,
-                        "registry": self.registry.stats(),
-                    }
-                )
-            ],
+            "shards": [self.snapshot()],
         }
+
+    def snapshot(self, shard: int = 0) -> Dict[str, Any]:
+        """One ``stats`` ``shards`` entry: metrics, queue depth, registry."""
+        return self.metrics.snapshot(
+            extra={
+                "shard": shard,
+                "queued": self.scheduler.queued,
+                "registry": self.registry.stats(),
+            }
+        )
 
     async def drain(self) -> None:
         """Finish every accepted request; refuse new ones as ``draining``."""
@@ -224,47 +233,26 @@ async def _serve_framed_connection(
         if frame is None:
             break
         ftype, body, request_id = frame
-        if ftype == frames_mod.FT_HELLO:
-            if body:
-                try:
-                    hello = frames_mod._parse_kvmap(body)
-                except ProtocolError as exc:
-                    writer.write(
-                        frames_mod.response_to_frame(
-                            error_response(exc, request_id)
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                features = hello.get("features")
+        request = None
+        try:
+            if ftype == frames_mod.FT_HELLO:
+                features = frames_mod._parse_kvmap(body).get("features") if body else None
                 if isinstance(features, list):
                     pinned_features = {f for f in features if isinstance(f, str)}
-            writer.write(frames_mod.hello_frame(PROTOCOL_VERSION, request_id))
-            await writer.drain()
-            continue
-        needed = frames_mod.required_feature(ftype)
-        if (
-            needed is not None
-            and pinned_features is not None
-            and needed not in pinned_features
-        ):
-            exc = ProtocolError(
-                f"frame type {ftype:#04x} requires feature {needed!r}, "
-                f"absent from this connection's HELLO"
-            )
-            writer.write(frames_mod.response_to_frame(error_response(exc, request_id)))
-            await writer.drain()
-            continue
-        try:
-            request = frames_mod.frame_to_request(ftype, body, request_id)
+                out = frames_mod.hello_frame(PROTOCOL_VERSION, request_id)
+            else:
+                needed = frames_mod.required_feature(ftype)
+                if needed and pinned_features is not None and needed not in pinned_features:
+                    raise ProtocolError(
+                        f"frame type {ftype:#04x} requires feature {needed!r}, "
+                        f"absent from this connection's HELLO"
+                    )
+                request = frames_mod.frame_to_request(ftype, body, request_id)
         except ProtocolError as exc:
-            writer.write(
-                frames_mod.response_to_frame(error_response(exc, request_id))
-            )
-            await writer.drain()
-            continue
-        response = await service.handle_request(request)
-        writer.write(frames_mod.response_to_frame(response))
+            out = frames_mod.response_to_frame(error_response(exc, request_id))
+        if request is not None:
+            out = frames_mod.response_to_frame(await service.handle_request(request))
+        writer.write(out)
         await writer.drain()
 
 

@@ -295,12 +295,14 @@ class TestClusterService:
 
 
 def _same_response(a, b):
+    """Same keys and values, draws byte for byte; only the message of a
+    ``DeadlineExceededError``, which carries a timing, may differ."""
     assert a.keys() == b.keys(), (a, b)
     for key, value in a.items():
         if key == "draws":
             assert np.asarray(value).dtype == np.asarray(b[key]).dtype
             assert np.asarray(value).tobytes() == np.asarray(b[key]).tobytes()
-        elif key != "message":
+        elif key != "message" or a.get("error") != "DeadlineExceededError":
             assert value == b[key], (key, a, b)
 
 
@@ -328,6 +330,15 @@ class TestBatchedHop:
             {"op": "draw", "wheel": "w1:00ff00ff00ff00ff", "n": 1, "id": "unknown"},
             {"op": "draw", "wheel": wheels[1], "n": self.MAX_DRAWS + 1, "id": "big"},
             {"op": "draw", "wheel": wheels[2], "n": 3, "seed": 9, "id": "again"},
+            {
+                "op": "update",
+                "wheel": wheels[3],
+                "indices": [40],
+                "values": [1.0],
+                "id": "range",
+            },
+            {"op": "draw", "wheel": wheels[3], "n": 2, "deadline_us": "soon", "id": "late"},
+            {"op": "register", "fitness": [1.0, 2.0], "method": "nope", "id": "method"},
         ]
         return requests
 
@@ -370,12 +381,19 @@ class TestBatchedHop:
         assert by_id["minted"]["status"] == "ok"
         assert by_id["unknown"]["error"] == "UnknownWheelError"
         assert by_id["big"]["error"] == "ValueError"
-        assert sum(r["status"] == "ok" for r in reference) == len(script) - 2
+        assert by_id["range"]["error"] == "IndexError"
+        assert by_id["late"]["error"] == "TypeError"
+        assert by_id["method"]["error"] == "UnknownMethodError"
+        assert by_id["method"]["message"].startswith("no compiled kernel")
+        assert sum(r["status"] == "ok" for r in reference) == len(script) - 5
         for workers in (1, 3):
             cluster = ClusterService(workers=workers, seed=11, config=config)
             _, responses, stats = self._serve(cluster, minted)
             for want, got in zip(reference, responses):
                 _same_response(want, got)
+            front = stats["frontend"]
+            assert front["requests_total"] == front["ok_total"] + front["error_total"]
+            assert front["queue_depth"] == 0 and front["updates_total"] == 1
             if workers == 1:
                 sizes = stats["shards"][0]["hop"]["to_shard"]["sizes"]
                 assert sizes.get(str(len(script))) == 1, sizes

@@ -322,6 +322,28 @@ class TestFrameFuzz:
             frames.encode_value(buf2, parsed)
             assert bytes(buf1) == bytes(buf2), f"trial {trial} not canonical"
 
+    def test_invalid_utf8_is_a_protocol_error(self):
+        """Request frames whose strings are random bytes (mostly not
+        UTF-8) raise ProtocolError, never UnicodeDecodeError."""
+        rng = np.random.default_rng(0x0F8)
+        for _ in range(200):
+            raw = bytes(rng.integers(0, 256, int(rng.integers(1, 8)), dtype=np.uint8))
+            bodies = [
+                (frames.FT_DRAW, struct.pack(f"!H{len(raw)}sIBqd", len(raw), raw, 1, 0, 0, 0.0)),
+                (frames.FT_UPDATE, struct.pack(f"!H{len(raw)}sIqd", len(raw), raw, 1, 0, 1.0)),
+                # REGISTER kvmaps: a random key, then a random string value.
+                (frames.FT_REGISTER, struct.pack(f"!BIH{len(raw)}sB", 8, 1, len(raw), raw, 0)),
+                (
+                    frames.FT_REGISTER,
+                    struct.pack(f"!BIH6sBI{len(raw)}s", 8, 1, 6, b"method", 5, len(raw), raw),
+                ),
+            ]
+            for ftype, body in bodies:
+                try:
+                    frames.frame_to_request(ftype, body, None)
+                except ProtocolError:
+                    pass
+
     def test_random_garbage_never_crashes_parser(self):
         """Arbitrary bytes must raise ProtocolError, never anything else."""
         rng = np.random.default_rng(0xBEEF)

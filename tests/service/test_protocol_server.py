@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from repro.errors import (
     DegenerateFitnessError,
     ProtocolError,
     ServiceOverloadedError,
+    UnknownMethodError,
     UnknownWheelError,
 )
+from repro.service import frames
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     decode_request,
@@ -42,11 +45,58 @@ class TestProtocol:
             '{"op": "draw", "wheel": "w1:ab", "n": 0}',
             '{"op": "draw", "wheel": "w1:ab", "n": true}',
             '{"op": "draw", "wheel": "w1:ab", "n": 1, "seed": "x"}',
+            '{"op": "draw", "wheel": "w1:ab", "deadline_us": "soon"}',
+            '{"op": "draw", "wheel": "w1:ab", "deadline_us": true}',
+            '{"op": "register", "fitness": [1], "method": 3}',
         ],
     )
     def test_decode_rejects_malformed(self, line):
         with pytest.raises(ProtocolError):
             decode_request(line)
+
+    @pytest.mark.parametrize(
+        "ftype, body, as_json",
+        [
+            (
+                frames.FT_DRAW,
+                struct.pack("!H5sIBqd", 5, b"w1:ab", 0, 0, 0, 0.0),
+                {"op": "draw", "wheel": "w1:ab", "n": 0},
+            ),
+            (
+                frames.FT_UPDATE,
+                struct.pack("!H5sI", 5, b"w1:ab", 0),
+                {"op": "update", "wheel": "w1:ab", "indices": [], "values": []},
+            ),
+            (
+                frames.FT_REGISTER,
+                {"fitness": [1.0, 2.0], "backend": 5},
+                {"op": "register", "fitness": [1.0, 2.0], "backend": 5},
+            ),
+            (
+                frames.FT_REGISTER,
+                {"fitness": np.zeros(0)},
+                {"op": "register", "fitness": []},
+            ),
+        ],
+        ids=["draw-n0", "update-empty", "register-backend", "register-empty"],
+    )
+    def test_both_wires_refuse_alike(self, ftype, body, as_json):
+        """One validator: a frame and a JSON line carrying the same
+        request are refused with the same message."""
+        if isinstance(body, dict):
+            body = frames._kvmap_bytes(body)
+        with pytest.raises(ProtocolError) as framed:
+            frames.frame_to_request(ftype, body, None)
+        with pytest.raises(ProtocolError) as line:
+            decode_request(json.dumps(as_json))
+        assert str(framed.value) == str(line.value)
+
+    def test_both_wires_accept_array_forms(self):
+        register = frames.frame_to_request(
+            frames.FT_REGISTER, frames._kvmap_bytes({"fitness": [1.0, 2.0]}), 4
+        )
+        assert register == {"op": "register", "fitness": [1.0, 2.0], "id": 4}
+        assert decode_request(json.dumps(register)) == register
 
     def test_encode_round_trip(self):
         resp = ok_response(7, draws=np.array([1, 2, 3]))
@@ -60,6 +110,12 @@ class TestProtocol:
         hard = error_response(DegenerateFitnessError("zeros"), 2)
         assert hard["status"] == "error"
         assert hard["error"] == "DegenerateFitnessError"
+
+    def test_key_error_messages_carry_no_quotes(self):
+        message = "wheel 'w1:00' is not registered"
+        assert error_response(UnknownWheelError(message))["message"] == message
+        assert error_response(UnknownMethodError("no 'x'"))["message"] == "no 'x'"
+        assert error_response(KeyError())["message"] == ""
 
     def test_raise_structured_round_trips_types(self):
         for exc in (
@@ -119,6 +175,10 @@ class TestSelectionService:
                 '{"op": "draw", "wheel": "w1:00", "n": 1}'
             )
             assert unknown["error"] == "UnknownWheelError"
+            assert unknown["message"] == (
+                "wheel 'w1:00' is not registered (or was evicted); "
+                "re-register the fitness vector to restore it"
+            )
             garbage = await service.handle_line("}{")
             assert garbage["error"] == "ProtocolError"
             await service.close()
@@ -389,3 +449,46 @@ class TestBinaryTCP:
             await service.close()
 
         asyncio.run(asyncio.wait_for(flow(), 30.0))
+
+    def test_invalid_utf8_answered_connection_survives(self):
+        from repro.service import frames
+
+        bad_frames = [
+            # DRAW and UPDATE whose wheel id bytes are not UTF-8.
+            frames.encode_frame(
+                frames.FT_DRAW, struct.pack("!H2sIBqd", 2, b"\xff\xfe", 1, 0, 0, 0.0), 1
+            ),
+            frames.encode_frame(
+                frames.FT_UPDATE, struct.pack("!H2sIqd", 2, b"\xff\xfe", 1, 0, 1.0), 2
+            ),
+            # REGISTER whose kvmap key is not UTF-8.
+            frames.encode_frame(frames.FT_REGISTER, bytes([8, 0, 0, 0, 1, 0, 1, 0xFF, 0]), 3),
+        ]
+
+        async def flow():
+            service = SelectionService(seed=0)
+            server = await start_tcp_server(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for frame in bad_frames:
+                writer.write(frame)
+                await writer.drain()
+                replies.append(
+                    frames.frame_to_response(
+                        *(await frames.read_frame(reader, max_body_bytes=1 << 20))
+                    )
+                )
+            ping = await self._request(reader, writer, {"op": "ping", "id": 9})
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await service.close()
+            return replies, ping
+
+        replies, ping = asyncio.run(asyncio.wait_for(flow(), 30.0))
+        assert [r["error"] for r in replies] == ["ProtocolError"] * 3
+        assert [r["id"] for r in replies] == [1, 2, 3]
+        assert all("UTF-8" in r["message"] for r in replies)
+        assert ping["status"] == "ok" and ping["id"] == 9

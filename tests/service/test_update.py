@@ -118,6 +118,9 @@ class TestUpdateFrame:
             {**good, "indices": [1, 2]},
             {**good, "values": ["x"]},
             {**good, "indices": [[1], [2]], "values": [[1.0], [2.0]]},
+            {**good, "indices": [0.5]},
+            {**good, "indices": np.array([1.5])},
+            {**good, "indices": ["1"]},
         ):
             with pytest.raises(ProtocolError):
                 frames.request_to_frame(bad)
@@ -310,6 +313,27 @@ class TestRegistryUpdate:
             reg.update(root, [0, 1], [0.0, 0.0])  # would zero the wheel
         # Failed updates mint nothing.
         assert reg.stats()["updates"] == 0
+
+    def test_fractional_indices_are_refused(self):
+        """A cast would truncate 0.5 to 0 and update the wrong item."""
+        fitness = np.array([1.0, 2.0, 3.0])
+        for wheel in (CompiledWheel(fitness), AcceptanceWheel(fitness)):
+            with pytest.raises(ValueError, match="update index 0.5 is not an integer"):
+                wheel.apply_updates([0.5], [4.0])
+            whole = wheel.apply_updates(np.array([1.0]), [4.0])
+            assert whole.fitness.values[1] == 4.0
+        line = '{"op": "update", "wheel": "%s", "indices": [0.5], "values": [4.0]}'
+        for service in (SelectionService(seed=0), ClusterService(workers=1, seed=0)):
+
+            async def flow():
+                reg = await service.handle_request({"op": "register", "fitness": fitness})
+                response = await service.handle_line(line % reg["wheel"])
+                await service.close()
+                return response
+
+            response = asyncio.run(asyncio.wait_for(flow(), 60.0))
+            assert response["error"] == "ValueError"
+            assert response["message"] == "update index 0.5 is not an integer"
 
     def test_updated_wheel_matches_fresh_compile(self):
         """The incremental recompile is bitwise a full recompile."""
