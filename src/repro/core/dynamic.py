@@ -21,8 +21,6 @@ static samplers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from repro.core.fitness import validate_fitness
@@ -73,20 +71,6 @@ class FenwickSampler:
 
     def __len__(self) -> int:
         return self._n
-
-    def copy(self) -> "FenwickSampler":
-        """An independent copy-on-write clone of the current state.
-
-        O(n) array copies, no re-validation and no tree rebuild — the
-        cheap way for the serving registry to branch a delta chain
-        without mutating the parent version's sampler.
-        """
-        clone = object.__new__(FenwickSampler)
-        clone._n = self._n
-        clone._values = self._values.copy()
-        clone._tree = self._tree.copy()
-        clone._size = self._size
-        return clone
 
     def __getitem__(self, i: int) -> float:
         if not 0 <= i < self._n:

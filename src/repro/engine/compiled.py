@@ -123,17 +123,28 @@ ACCEPTANCE_FORMAT = "repro/acceptance-wheel/v1"
 
 
 def integer_indices(indices) -> np.ndarray:
-    """``indices`` as a flat ``int64`` array; ``ValueError`` names the
-    first one that is not an integer (a bare cast would turn 0.5 into 0)."""
+    """``indices`` as a flat ``int64`` array.
+
+    ``ValueError`` names the first index that is not an integer (a bare
+    cast would turn 0.5 into 0), ``IndexError`` the first one int64
+    cannot hold (a bare cast would wrap 2^63 to -2^63).
+    """
     flat = np.asarray(indices).ravel()
-    if flat.dtype.kind not in "biu":
-        if flat.dtype.kind == "f":
+    kind = flat.dtype.kind
+    if kind not in "biu":
+        if kind == "f":
             whole = np.isfinite(flat) & (np.trunc(flat) == flat)
+        elif kind == "O":  # JSON integers past uint64 arrive as Python ints
+            whole = np.array([type(v) is int for v in flat.tolist()], dtype=bool)
         else:
             whole = np.zeros(flat.shape, dtype=bool)
         if not whole.all():
-            bad = flat[~whole][0]
-            raise ValueError(f"update index {bad.item()!r} is not an integer")
+            bad = flat[~whole].tolist()[0]
+            raise ValueError(f"update index {bad!r} is not an integer")
+    if kind in "ufO":
+        outside = (flat < -(1 << 63)) | (flat >= (1 << 63))
+        if outside.any():
+            raise IndexError(f"index {int(flat[outside][0])} out of range for int64")
     return flat.astype(np.int64, copy=False)
 
 
@@ -252,7 +263,10 @@ class CompiledWheel:
             )
         return kernel
 
-    def _precompute(self) -> None:
+    def _derive_masks(self) -> None:
+        """Set ``n`` and the O(n) masks (plus the race kernel's clamp
+        flag) from the fitness values — shared by compile, restore and
+        delta patches; ``self.kernel`` must already be resolved."""
         f = self.fitness.values
         self.n = self.fitness.n
         self._zero_mask = f == 0.0
@@ -261,6 +275,11 @@ class CompiledWheel:
             positive = f[~self._zero_mask]
             self._clamp_low = bool(positive.size and positive.min() < _CLAMP_THRESHOLD)
             self._positive_mask = ~self._zero_mask
+
+    def _precompute(self) -> None:
+        self._derive_masks()
+        f = self.fitness.values
+        if self.kernel == "race":
             if self.method == "gumbel":
                 with np.errstate(divide="ignore"):
                     self._log_f = np.log(f)
@@ -539,60 +558,40 @@ class CompiledWheel:
     # incremental recompilation (the delta path behind versioned wheels
     # in repro.service.registry)
     # ------------------------------------------------------------------
-    def apply_updates(
-        self, indices, values, *, new_values: Optional[np.ndarray] = None
-    ) -> "CompiledWheel":
+    def apply_updates(self, indices, values) -> "CompiledWheel":
         """Copy-on-write clone with ``values[indices]`` replaced.
 
         Instead of the full registration path (content hashing plus
         ``_precompute`` — an O(n) *Python-loop* Vose build for the alias
-        kernel), the clone patches the per-method key constants at the
-        touched indices and recomputes only the vectorised O(n)
-        artifacts (masks, prefix sums).  A wheel on the ``alias`` kernel
-        under the ``auto`` policy recompiles to ``searchsorted`` — the
-        cheapest kernel to rebuild, with the method's exact
-        distribution; ``faithful`` and explicitly-requested alias wheels
-        keep their table (full rebuild) so the bit-contract survives
-        updates.
+        kernel), the clone copies the values once, scatters the delta,
+        patches the per-method key constants at the touched indices and
+        recomputes only the vectorised O(n) artifacts (masks, prefix
+        sums).  A wheel on the ``alias`` kernel under the ``auto``
+        policy recompiles to ``searchsorted`` — the cheapest kernel to
+        rebuild, with the method's exact distribution; ``faithful`` and
+        explicitly-requested alias wheels keep their table (full
+        rebuild) so the bit-contract survives updates.
 
         The result serves draws bitwise identically to a freshly
         compiled wheel on the same values with the same resolved kernel.
-
-        Parameters
-        ----------
-        indices, values:
-            The delta; duplicates resolve last-wins, validation is
-            atomic (bounds, finite, non-negative).
-        new_values:
-            Optional precomputed result vector (e.g. from a
-            :class:`repro.core.dynamic.FenwickSampler` mirror that
-            already applied the same delta); skips the copy+scatter.
+        Duplicate indices resolve last-wins; validation is atomic
+        (bounds, finite, non-negative), and a delta that zeroes every
+        value raises ``DegenerateFitnessError``.
         """
         uniq, vals_u = _canonical_delta(indices, values, self.n)
-        if new_values is None:
-            f = np.array(self.fitness.values)  # writable copy
-            f[uniq] = vals_u
-        else:
-            f = np.asarray(new_values, dtype=np.float64)
+        f = np.array(self.fitness.values)  # writable copy
+        f[uniq] = vals_u
         new = CompiledWheel.__new__(CompiledWheel)
         new.fitness = FitnessVector(f)  # re-validates; raises on all-zero
         new.method = self.method
         new.policy = self.policy
         new.chunk_bytes = self.chunk_bytes
-        new.n = self.n
         if self.kernel == "alias" and self.policy == "auto":
             new.kernel = "searchsorted"
         else:
             new.kernel = self.kernel
-        fv = new.fitness.values
-        new._zero_mask = fv == 0.0
-        new._has_zeros = bool(new._zero_mask.any())
+        new._derive_masks()
         if new.kernel == "race":
-            positive = fv[~new._zero_mask]
-            new._clamp_low = bool(
-                positive.size and positive.min() < _CLAMP_THRESHOLD
-            )
-            new._positive_mask = ~new._zero_mask
             # Patch the key constants at the touched indices only; the
             # elementwise transforms make the patch bitwise identical
             # to a full recompute.
@@ -609,7 +608,7 @@ class CompiledWheel:
         elif new.kernel == "searchsorted":
             new._prefix = new.fitness.prefix_sums
         else:
-            new._table = AliasTable(fv)
+            new._table = AliasTable(f)
         return new
 
     # ------------------------------------------------------------------
@@ -655,14 +654,8 @@ class CompiledWheel:
         self.kernel = str(state["kernel"])
         self.policy = str(state.get("policy", state["kernel"]))
         self.chunk_bytes = int(state["chunk_bytes"])  # type: ignore[arg-type]
-        f = self.fitness.values
-        self.n = self.fitness.n
-        self._zero_mask = f == 0.0
-        self._has_zeros = bool(self._zero_mask.any())
+        self._derive_masks()
         if self.kernel == "race":
-            positive = f[~self._zero_mask]
-            self._clamp_low = bool(positive.size and positive.min() < _CLAMP_THRESHOLD)
-            self._positive_mask = ~self._zero_mask
             if "log_f" in state:
                 self._log_f = np.asarray(state["log_f"], dtype=np.float64)
             if "inv_f" in state:
@@ -828,9 +821,7 @@ class AcceptanceWheel:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(outs)
 
-    def apply_updates(
-        self, indices, values, *, new_values: Optional[np.ndarray] = None
-    ) -> "AcceptanceWheel":
+    def apply_updates(self, indices, values) -> "AcceptanceWheel":
         """Copy-on-write clone with ``values[indices]`` replaced.
 
         Tracks the running max: O(k) when no patched position lowers the
@@ -840,11 +831,8 @@ class AcceptanceWheel:
         """
         uniq, vals_u = _canonical_delta(indices, values, self.n)
         old = self.fitness.values
-        if new_values is None:
-            f = np.array(old)
-            f[uniq] = vals_u
-        else:
-            f = np.asarray(new_values, dtype=np.float64)
+        f = np.array(old)
+        f[uniq] = vals_u
         lowered = bool(np.any((old[uniq] == self._fmax) & (vals_u < self._fmax)))
         if lowered:
             fmax = None  # the maximum may have moved; re-scan in __init__

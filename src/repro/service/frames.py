@@ -394,8 +394,10 @@ def _encode_draw_body(request: Dict[str, Any]) -> bytes:
     opts = 0
     seed = request.get("seed")
     if seed is not None:
-        if not _INT64_MIN <= seed <= _INT64_MAX:
-            raise ProtocolError(f"draw 'seed' must be an i64, got {seed!r}")
+        # validate_request bounds seeds to [0, 2^64); the i64 field
+        # carries [0, 2^63).
+        if seed > _INT64_MAX:
+            raise ProtocolError(f"draw 'seed' {seed!r} does not fit the frame's i64 field")
         opts |= _OPT_HAS_SEED
     deadline_us = request.get("deadline_us")
     if deadline_us is not None:
@@ -441,7 +443,7 @@ def _encode_update_body(request: Dict[str, Any]) -> bytes:
         indices = np.asarray(request["indices"])
         values = np.ascontiguousarray(request["values"], dtype="<f8")
         wire_indices = integer_indices(indices).astype("<i8", copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ProtocolError(f"update delta is invalid: {exc}") from None
     if indices.ndim != 1 or values.ndim != 1:
         raise ProtocolError("update 'indices' and 'values' must be 1-d")

@@ -791,7 +791,6 @@ def _update_gate_section(
                 "update_hits",
                 "delta_recompiles",
                 "update_fenwick",
-                "update_rebuild",
                 "max_chain_len",
                 "misses",
             )
@@ -854,7 +853,6 @@ def _measure_mutate_leg(
                 "update_hits",
                 "delta_recompiles",
                 "update_fenwick",
-                "update_rebuild",
                 "max_chain_len",
                 "versions",
                 "misses",

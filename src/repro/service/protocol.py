@@ -103,6 +103,9 @@ STRUCTURED_ERRORS = {
 
 _VALID_OPS = ("register", "draw", "update", "metrics", "stats", "ping")
 
+#: Draw seeds index 64-bit request streams (:mod:`repro.rng.streams`).
+_SEED_LIMIT = 1 << 64
+
 
 def _is_array(value: Any) -> bool:
     """A non-empty list (JSON) or 1-d ndarray (frames)."""
@@ -127,8 +130,10 @@ def validate_request(request: Dict[str, Any]) -> Dict[str, Any]:
         if type(n) is not int or n <= 0:
             raise ProtocolError(f"draw 'n' must be a positive integer, got {n!r}")
         seed = request.get("seed")
-        if seed is not None and type(seed) is not int:
-            raise ProtocolError(f"draw 'seed' must be an integer, got {seed!r}")
+        if seed is not None and (type(seed) is not int or not 0 <= seed < _SEED_LIMIT):
+            raise ProtocolError(
+                f"draw 'seed' must be an integer in [0, 2^64), got {seed!r}"
+            )
         deadline_us = request.get("deadline_us")
         if deadline_us is not None and type(deadline_us) not in (int, float):
             raise ProtocolError(

@@ -8,11 +8,7 @@ restarts, and LRU eviction: re-registering the same wheel always yields
 the same id, which is why eviction is safe to expose to clients.
 
 Registration compiles at most once per distinct wheel; subsequent
-registrations are cache hits that only touch the LRU order.  Compiled
-artifacts (alias tables, prefix sums, key constants) can be shipped to
-worker processes via :meth:`WheelRegistry.export` /
-:meth:`WheelRegistry.import_blob` without recompiling, riding on
-:meth:`repro.engine.CompiledWheel.to_bytes`.
+registrations are cache hits that only touch the LRU order.
 
 With a :class:`repro.service.shm.SharedWheelStore` attached, the
 compile-once guarantee extends *across processes*: before compiling, a
@@ -29,13 +25,12 @@ every replica while the embedded root keeps every version of a wheel on
 its owning cluster shard.  Versions are copy-on-write: the parent entry
 is never touched, so in-flight draws against the old id stay bitwise
 deterministic.  The new version is built by *incremental recompilation*
-(a :class:`repro.core.dynamic.FenwickSampler` mirror applies the delta —
-per-index tree walks below its measured cutoff, one vectorised rebuild
-above it — and :meth:`repro.engine.CompiledWheel.apply_updates` patches
-the kernel artifacts) instead of the full hash+validate+compile
-registration path.  ``backend="stochastic_acceptance"`` skips
-compilation entirely: the entry serves Lipowski & Lipowska rejection
-sampling and its only derived state is the running max weight.
+(:meth:`repro.engine.CompiledWheel.apply_updates` copies the parent's
+values, scatters the delta and patches the kernel artifacts) instead of
+the full hash+validate+compile registration path.
+``backend="stochastic_acceptance"`` skips compilation entirely: the
+entry serves Lipowski & Lipowska rejection sampling and its only derived
+state is the running max weight.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.dynamic import FenwickSampler
 from repro.core.fitness import FitnessVector
 from repro.engine.compiled import (
     AcceptanceWheel,
@@ -55,7 +49,7 @@ from repro.engine.compiled import (
     _canonical_delta,
     wheel_from_bytes,
 )
-from repro.errors import DegenerateFitnessError, UnknownWheelError
+from repro.errors import UnknownWheelError
 
 __all__ = [
     "wheel_digest",
@@ -181,12 +175,10 @@ class _Entry:
     """One cached wheel: the serving artifact plus accounting.
 
     ``parent``/``version`` place the entry in its delta chain (roots are
-    version 0 with no parent).  ``sampler`` is the lazily-built Fenwick
-    mirror that applies deltas for compiled entries; it rides along to
-    the child on update so consecutive updates never rebuild it.
+    version 0 with no parent).
     """
 
-    __slots__ = ("wheel", "method", "policy", "hits", "parent", "version", "sampler")
+    __slots__ = ("wheel", "method", "policy", "hits", "parent", "version")
 
     def __init__(
         self,
@@ -202,15 +194,14 @@ class _Entry:
         self.hits = 0
         self.parent = parent
         self.version = version
-        self.sampler: Optional[FenwickSampler] = None
 
 
 class WheelRegistry:
     """LRU cache of compiled wheels keyed by content address.
 
-    Thread-safe: the service runs single-threaded under asyncio, but the
-    registry is also the hand-off point for shipping wheels to worker
-    processes, so every public method takes the internal lock.
+    Thread-safe: the service runs single-threaded under asyncio, but a
+    registry may be shared across threads, so every public method takes
+    the internal lock (compiles and delta builds run outside it).
 
     Parameters
     ----------
@@ -263,8 +254,6 @@ class WheelRegistry:
         self.updates = 0
         self.update_hits = 0
         self.delta_recompiles = 0
-        self.update_fenwick = 0
-        self.update_rebuild = 0
         self.max_chain_len = 0
         self.rederives = 0
 
@@ -368,20 +357,17 @@ class WheelRegistry:
         idempotent cache hit (``info["cached"]``) — and never counts as
         an LRU miss, because nothing is looked up by content.
 
-        Incremental recompilation instead of re-registration: a
-        :class:`FenwickSampler` mirror applies the delta (per-index
-        O(log n) tree walks below its measured ``rebuild_cutoff``, one
-        vectorised linear rebuild above it) and the parent's kernel
-        artifacts are patched via
-        :meth:`repro.engine.CompiledWheel.apply_updates` — no content
-        hash, no full validation, no Vose table build.  Acceptance
-        (``stochastic_acceptance`` backend) entries skip even that and
-        only advance the running max weight.
+        Incremental recompilation instead of re-registration: the
+        parent wheel's ``apply_updates`` builds the child — no content
+        hash, no Vose table build; compiled wheels patch their kernel
+        artifacts, acceptance (``stochastic_acceptance`` backend) wheels
+        only advance the running max weight.  A delta that would zero
+        every value raises ``DegenerateFitnessError`` and mints nothing.
 
         ``info`` carries ``version`` (chain depth), ``parent``, and
         ``cached``.
         """
-        entry = self._touch_or_rederive(wheel_id)
+        entry = self._lookup(wheel_id, count_hit=False)
         uniq, vals_u = _canonical_delta(indices, values, entry.wheel.n)
         new_id = version_id(wheel_id, uniq, vals_u)
         with self._lock:
@@ -394,27 +380,7 @@ class WheelRegistry:
                 return new_id, info
         # Build outside the lock, same rationale as register().
         version = entry.version + 1
-        if isinstance(entry.wheel, AcceptanceWheel):
-            new_wheel = entry.wheel.apply_updates(uniq, vals_u)
-            mirror = None
-            used_fenwick = False
-        else:
-            with self._lock:
-                mirror = entry.sampler
-            if mirror is None:
-                mirror = FenwickSampler(entry.wheel.fitness.values)
-                with self._lock:
-                    entry.sampler = mirror
-            mirror = mirror.copy()  # COW: never mutate the parent's mirror
-            used_fenwick = uniq.size < mirror.rebuild_cutoff
-            mirror.update_many(uniq, vals_u)
-            if mirror.total <= 0.0:
-                raise DegenerateFitnessError(
-                    "update would zero every fitness value"
-                )
-            new_wheel = entry.wheel.apply_updates(
-                uniq, vals_u, new_values=mirror.values
-            )
+        new_wheel = entry.wheel.apply_updates(uniq, vals_u)
         with self._lock:
             existing = self._entries.get(new_id)
             if existing is not None:
@@ -423,20 +389,12 @@ class WheelRegistry:
                 info = {"cached": True, "version": existing.version, "parent": wheel_id}
             else:
                 self.updates += 1
-                if isinstance(new_wheel, AcceptanceWheel):
-                    pass
-                else:
+                if isinstance(new_wheel, CompiledWheel):
                     self.delta_recompiles += 1
-                    if used_fenwick:
-                        self.update_fenwick += 1
-                    else:
-                        self.update_rebuild += 1
-                child = _Entry(
+                self._entries[new_id] = _Entry(
                     new_wheel, entry.method, entry.policy,
                     parent=wheel_id, version=version,
                 )
-                child.sampler = mirror
-                self._entries[new_id] = child
                 if version > self.max_chain_len:
                     self.max_chain_len = version
                 info = {"cached": False, "version": version, "parent": wheel_id}
@@ -474,27 +432,30 @@ class WheelRegistry:
             for k in dead:
                 del self._lineage[k]
 
-    def _touch_or_rederive(self, wheel_id: str) -> _Entry:
-        """Look up an update/draw target, rebuilding evicted versions.
+    def _lookup(self, wheel_id: str, count_hit: bool) -> _Entry:
+        """The entry for ``wheel_id``, refreshing its LRU slot.
 
-        Refreshes the entry's LRU slot without counting a content hit or
-        miss (update traffic keeps the cache counters draw-oriented).
-        A missing *versioned* id is re-derived by replaying its recorded
-        delta chain from the nearest live ancestor — the recovery that
-        makes LRU eviction safe for live version chains.
+        ``count_hit`` adds a content hit: draw lookups (:meth:`get`)
+        count, update lookups do not, so update traffic keeps the cache
+        counters draw-oriented.  A missing *versioned* id is re-derived
+        by replaying its recorded delta chain from the nearest live
+        ancestor — the recovery that makes LRU eviction safe for live
+        version chains.
         """
         for attempt in (0, 1):
             with self._lock:
                 entry = self._entries.get(wheel_id)
                 if entry is not None:
                     entry.hits += 1
+                    if count_hit:
+                        self.hits += 1
                     self._entries.move_to_end(wheel_id)
                     return entry
             if attempt == 0 and not self._replay_chain(wheel_id):
                 break
         raise UnknownWheelError(
             f"wheel {wheel_id!r} is not registered (or was evicted); "
-            f"re-register (and replay updates) to restore it"
+            f"re-register the fitness vector to restore it"
         )
 
     def _replay_chain(self, wheel_id: str) -> bool:
@@ -525,8 +486,8 @@ class WheelRegistry:
             self.rederives += 1
         return True
 
-    def get(self, wheel_id: str) -> CompiledWheel:
-        """Look up a compiled wheel, refreshing its LRU position.
+    def get(self, wheel_id: str) -> Union[CompiledWheel, AcceptanceWheel]:
+        """Look up a serving wheel, refreshing its LRU position.
 
         An evicted *versioned* wheel is transparently re-derived from
         its lineage (delta chain replay from the nearest live ancestor),
@@ -539,20 +500,7 @@ class WheelRegistry:
             recovery; the caller can re-register the same fitness to
             mint the same root id (and replay updates for versions).
         """
-        for attempt in (0, 1):
-            with self._lock:
-                entry = self._entries.get(wheel_id)
-                if entry is not None:
-                    entry.hits += 1
-                    self.hits += 1
-                    self._entries.move_to_end(wheel_id)
-                    return entry.wheel
-            if attempt == 0 and not self._replay_chain(wheel_id):
-                break
-        raise UnknownWheelError(
-            f"wheel {wheel_id!r} is not registered (or was evicted); "
-            f"re-register the fitness vector to restore it"
-        )
+        return self._lookup(wheel_id, count_hit=True).wheel
 
     def __contains__(self, wheel_id: str) -> bool:
         with self._lock:
@@ -561,26 +509,6 @@ class WheelRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    # ------------------------------------------------------------------
-    def export(self, wheel_id: str) -> bytes:
-        """Serialize a cached wheel for shipping to a worker process."""
-        return self.get(wheel_id).to_bytes()
-
-    def import_blob(self, blob: bytes) -> str:
-        """Adopt a wheel serialized by :meth:`export`; returns its id.
-
-        The id is recomputed from the imported content, so a corrupted
-        or mismatched blob can never be addressed as the original.
-        """
-        wheel = wheel_from_bytes(blob)
-        wheel_id = wheel_digest(wheel.fitness.values, wheel.method, wheel.policy)
-        with self._lock:
-            if wheel_id not in self._entries:
-                self._entries[wheel_id] = _Entry(wheel, wheel.method, wheel.kernel)
-                self._evict_locked()
-            self._entries.move_to_end(wheel_id)
-        return wheel_id
 
     # ------------------------------------------------------------------
     def _evict_locked(self) -> None:
@@ -627,8 +555,10 @@ class WheelRegistry:
                 "updates": self.updates,
                 "update_hits": self.update_hits,
                 "delta_recompiles": self.delta_recompiles,
-                "update_fenwick": self.update_fenwick,
-                "update_rebuild": self.update_rebuild,
+                # Every compiled update is an in-place incremental
+                # patch; perfbench/serving.py reads this key for
+                # registry.update_incremental_share.
+                "update_fenwick": self.delta_recompiles,
                 "max_chain_len": self.max_chain_len,
                 "rederives": self.rederives,
                 "pinned_roots": len(self._pinned),

@@ -131,7 +131,7 @@ class TestRequestFrames:
             {"op": "metrics", "id": 3},
             {"op": "stats"},
             {"op": "draw", "wheel": "w1:ab12", "n": 16},
-            {"op": "draw", "wheel": "w1:ab12", "n": 1, "seed": -5, "id": 9},
+            {"op": "draw", "wheel": "w1:ab12", "n": 1, "seed": 5, "id": 9},
             {"op": "draw", "wheel": "w1:ab12", "n": 2, "deadline_us": 1500.0},
         ],
     )
@@ -144,6 +144,17 @@ class TestRequestFrames:
             ftype, frame[frames.HEADER_SIZE :], request_id
         )
         assert decoded == req
+
+    def test_draw_seed_outside_stream_domain_is_refused(self):
+        """Seeds lie in [0, 2^64); the i64 field carries [0, 2^63)."""
+        with pytest.raises(ProtocolError, match=r"got -5$"):
+            frames.request_to_frame({"op": "draw", "wheel": "w1:ab12", "seed": -5})
+        with pytest.raises(ProtocolError, match="i64"):
+            frames.request_to_frame({"op": "draw", "wheel": "w1:ab12", "seed": 1 << 63})
+        top = {"op": "draw", "wheel": "w1:ab12", "n": 1, "seed": (1 << 63) - 1}
+        frame = frames.request_to_frame(top)
+        ftype, _, request_id = frames.parse_header(frame[: frames.HEADER_SIZE])
+        assert frames.frame_to_request(ftype, frame[frames.HEADER_SIZE :], request_id) == top
 
     def test_register_round_trip(self):
         fitness = np.array([1.0, 2.5, 3.0])

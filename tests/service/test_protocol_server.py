@@ -15,6 +15,7 @@ from repro.errors import (
     UnknownWheelError,
 )
 from repro.service import frames
+from repro.service.cluster import ClusterService
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     decode_request,
@@ -63,6 +64,11 @@ class TestProtocol:
                 {"op": "draw", "wheel": "w1:ab", "n": 0},
             ),
             (
+                frames.FT_DRAW,
+                struct.pack("!H5sIBqd", 5, b"w1:ab", 1, 1, -1, 0.0),
+                {"op": "draw", "wheel": "w1:ab", "n": 1, "seed": -1},
+            ),
+            (
                 frames.FT_UPDATE,
                 struct.pack("!H5sI", 5, b"w1:ab", 0),
                 {"op": "update", "wheel": "w1:ab", "indices": [], "values": []},
@@ -78,7 +84,8 @@ class TestProtocol:
                 {"op": "register", "fitness": []},
             ),
         ],
-        ids=["draw-n0", "update-empty", "register-backend", "register-empty"],
+        ids=["draw-n0", "draw-seed-negative", "update-empty", "register-backend",
+             "register-empty"],
     )
     def test_both_wires_refuse_alike(self, ftype, body, as_json):
         """One validator: a frame and a JSON line carrying the same
@@ -202,6 +209,28 @@ class TestSelectionService:
 
         a, b = self._run(draw_twice())
         np.testing.assert_array_equal(a, b)
+
+    def test_seed_outside_stream_domain_is_refused(self):
+        """Seeds index 64-bit streams: both the in-process service and a
+        1-shard cluster refuse -1 and 2^64 with the same typed error."""
+
+        async def ask(service):
+            reg = await service.handle_request({"op": "register", "fitness": [1.0, 2.0]})
+            out = []
+            for seed in (-1, 1 << 64):
+                line = '{"op": "draw", "wheel": "%s", "n": 1, "seed": %d}'
+                out.append(await service.handle_line(line % (reg["wheel"], seed)))
+            await service.close()
+            return out
+
+        local = self._run(asyncio.wait_for(ask(SelectionService(seed=0)), 60.0))
+        remote = self._run(asyncio.wait_for(ask(ClusterService(workers=1, seed=0)), 60.0))
+        for seed, a, b in zip((-1, 1 << 64), local, remote):
+            assert a["status"] == b["status"] == "error"
+            assert a["error"] == b["error"] == "ProtocolError"
+            assert a["message"] == b["message"] == (
+                f"draw 'seed' must be an integer in [0, 2^64), got {seed}"
+            )
 
     def test_overload_burst_sheds_with_explicit_responses(self):
         service = SelectionService(

@@ -5,8 +5,9 @@ Covers the delta-update stack end to end:
 * the fixed-layout UPDATE frame codec (round trips, fuzz, feature
   negotiation);
 * :meth:`WheelRegistry.update` — history-addressed version ids,
-  idempotent re-mints, the Fenwick-vs-rebuild recompile split, and the
-  cache counters (delta updates must never inflate the LRU miss count);
+  idempotent re-mints, incremental recompiles that match a fresh compile
+  bitwise for small and large deltas, and the cache counters (delta
+  updates must never inflate the LRU miss count);
 * copy-on-write determinism: draws against a parent version before and
   after an UPDATE are byte-identical, on the in-process service and on
   1-worker and multi-worker clusters, and every version matches a direct
@@ -288,18 +289,6 @@ class TestRegistryUpdate:
         assert stats["versions"] == 10
         assert stats["delta_recompiles"] == 10
 
-    def test_fenwick_vs_rebuild_counters(self):
-        n = 4096
-        reg = WheelRegistry()
-        root, _ = reg.register(np.arange(1.0, n + 1.0))
-        reg.update(root, [1], [3.0])  # far below the cutoff
-        big = np.arange(n // 2)
-        reg.update(root, big, np.full(big.size, 2.0))  # far above it
-        stats = reg.stats()
-        assert stats["update_fenwick"] == 1
-        assert stats["update_rebuild"] == 1
-        assert stats["delta_recompiles"] == 2
-
     def test_update_errors(self):
         reg = WheelRegistry()
         root, _ = reg.register(np.array([1.0, 2.0]))
@@ -336,24 +325,64 @@ class TestRegistryUpdate:
             assert response["message"] == "update index 0.5 is not an integer"
 
     def test_updated_wheel_matches_fresh_compile(self):
-        """The incremental recompile is bitwise a full recompile."""
+        """The incremental recompile is bitwise a full recompile.
+
+        Small and large deltas (k=3 and k=n/2) under both policies pin
+        every race, searchsorted and alias version to a fresh compile.
+        """
         rng = np.random.default_rng(11)
-        base = rng.random(512) + 0.1
-        for method in ("log_bidding", "gumbel", "alias"):
-            reg = WheelRegistry()
-            root, _ = reg.register(base, method=method)
-            idx = np.array([5, 100, 301])
-            vals = np.array([9.0, 0.0, 2.5])
-            child, _ = reg.update(root, idx, vals)
-            mutated = base.copy()
-            mutated[idx] = vals
-            served = reg.get(child)
-            oracle = CompiledWheel(mutated, method, kernel=served.kernel)
-            for i, size in enumerate((1, 33, 256)):
-                np.testing.assert_array_equal(
-                    served.select_many(size, request_stream(0, digest_key(child), i)),
-                    oracle.select_many(size, request_stream(0, digest_key(child), i)),
-                )
+        n = 512
+        base = rng.random(n) + 0.1
+        small = (np.array([5, 100, 301]), np.array([9.0, 0.0, 2.5]))
+        big_idx = rng.permutation(n)[: n // 2]
+        big = (big_idx, np.where(big_idx % 7 == 0, 0.0, rng.random(n // 2) * 4.0))
+        kernels = set()
+        for policy in ("auto", "faithful"):
+            for method in ("log_bidding", "gumbel", "alias"):
+                reg = WheelRegistry(policy=policy)
+                root, _ = reg.register(base, method=method)
+                for idx, vals in (small, big):
+                    child, _ = reg.update(root, idx, vals)
+                    mutated = base.copy()
+                    mutated[idx] = vals
+                    served = reg.get(child)
+                    kernels.add(served.kernel)
+                    oracle = CompiledWheel(mutated, method, kernel=served.kernel)
+                    for i, size in enumerate((1, 33, 256)):
+                        np.testing.assert_array_equal(
+                            served.select_many(size, request_stream(0, digest_key(child), i)),
+                            oracle.select_many(size, request_stream(0, digest_key(child), i)),
+                        )
+                assert reg.stats()["delta_recompiles"] == 2
+        assert kernels == {"race", "searchsorted", "alias"}
+
+    def test_update_index_past_int64_names_the_sent_index(self):
+        """An index int64 cannot hold is refused as sent, never wrapped
+        (2^63 used to read as -2^63; 2^64 raised an untyped error)."""
+        fitness = np.array([1.0, 2.0])
+        huge = np.array([1 << 63], dtype=np.uint64)
+        for wheel in (CompiledWheel(fitness), AcceptanceWheel(fitness)):
+            with pytest.raises(IndexError, match="^index 9223372036854775808 out of range"):
+                wheel.apply_updates(huge, [4.0])
+        with pytest.raises(ProtocolError, match="index 9223372036854775808 out of range"):
+            frames.request_to_frame(
+                {"op": "update", "wheel": "w1:ab", "indices": huge, "values": [4.0]}
+            )
+        service = SelectionService(seed=0)
+
+        async def flow():
+            reg = await service.handle_request({"op": "register", "fitness": fitness})
+            out = []
+            for index in (1 << 63, 1 << 64):
+                line = '{"op": "update", "wheel": "%s", "indices": [%d], "values": [4.0]}'
+                out.append(await service.handle_line(line % (reg["wheel"], index)))
+            await service.close()
+            return out
+
+        responses = asyncio.run(asyncio.wait_for(flow(), 60.0))
+        for index, response in zip((1 << 63, 1 << 64), responses):
+            assert response["error"] == "IndexError"
+            assert response["message"] == f"index {index} out of range for int64"
 
     def test_apply_updates_patches_race_kernel_bitwise(self):
         """Faithful (race-kernel) wheels patch key constants in place."""
