@@ -13,9 +13,14 @@ Quick start::
     >>> repro.select([0, 1, 2, 3], rng=42)          # Pr[i] = i/6, exact
     >>> repro.select_many([5, 1, 4], 1000, rng=0)   # vectorised batch
 
-See README.md for the architecture tour and ``python -m repro --list``
-for the paper-reproduction experiments.
+The subpackages named in ``__all__`` load on first attribute access
+(``repro.audit``, ``repro.service``, ...), so ``import repro`` costs
+only :mod:`repro.core`, :mod:`repro.rng` and NumPy.  See README.md for
+the architecture tour and ``python -m repro --list`` for the
+paper-reproduction experiments.
 """
+
+import importlib
 
 from repro._version import __version__
 from repro.core import (
@@ -31,20 +36,6 @@ from repro.core import (
     selection_counts,
     streaming_select,
     StreamingSelector,
-)
-from repro import (
-    aco,
-    audit,
-    bench,
-    core,
-    engine,
-    msg,
-    parallel,
-    pram,
-    rng,
-    service,
-    simt,
-    stats,
 )
 
 __all__ = [
@@ -74,3 +65,10 @@ __all__ = [
     "bench",
     "service",
 ]
+
+
+def __getattr__(name):
+    """Import a subpackage listed in ``__all__`` on first access (PEP 562)."""
+    if name in __all__:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

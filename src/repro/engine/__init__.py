@@ -7,14 +7,13 @@ deterministic worker processes (:func:`parallel_counts`,
 lockstep (:mod:`repro.engine.colony`, ``python -m repro bench-aco``).
 See ``python -m repro bench-engine`` for the recorded perf trajectory
 (``BENCH_engine.json``).
+
+The bench drivers are not re-exported here: import them from their
+modules (:mod:`repro.engine.aco_bench`, :mod:`repro.engine.bench`,
+:mod:`repro.engine.race_bench`), which pull in :mod:`repro.bench.record`
+and SciPy.  Importing the package loads only the kernels.
 """
 
-from repro.engine.aco_bench import (
-    BENCH_ACO_SCHEMA,
-    render_bench_aco,
-    run_bench_aco,
-    validate_bench_aco,
-)
 from repro.engine.colony import (
     CDF_METHODS,
     DEFAULT_BLOCK,
@@ -79,8 +78,4 @@ __all__ = [
     "tsp_lockstep_orders",
     "qap_lockstep_assignments",
     "coloring_lockstep_colors",
-    "run_bench_aco",
-    "validate_bench_aco",
-    "render_bench_aco",
-    "BENCH_ACO_SCHEMA",
 ]

@@ -19,19 +19,15 @@ responses at any pool size.  ``python -m repro bench-serve`` records the
 batched-vs-naive throughput gate, the frames-vs-JSON protocol gate, the
 cluster scaling sweep, and the coalescing + per-shard determinism
 certificates.
+
+The load generators and that bench driver are not re-exported here:
+import them from :mod:`repro.service.loadgen`, which pulls in
+:mod:`repro.bench.record` and SciPy.  Importing the package loads only
+the serving core.
 """
 
 from repro.service.cluster import DEFAULT_VNODES, ClusterService, HashRing
 from repro.service.frames import FRAMES_VERSION, hello_frame, read_frame
-from repro.service.loadgen import (
-    BENCH_SERVE_SCHEMA,
-    render_bench_serve,
-    run_bench_serve,
-    run_closed_loop,
-    run_open_loop,
-    run_tcp_load,
-    validate_bench_serve,
-)
 from repro.service.metrics import BatchSizeHistogram, LatencyHistogram, ServiceMetrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -57,7 +53,6 @@ from repro.service.server import (
 from repro.service.shm import SharedWheelStore
 
 __all__ = [
-    "BENCH_SERVE_SCHEMA",
     "BatchConfig",
     "BatchSizeHistogram",
     "ClusterService",
@@ -81,14 +76,8 @@ __all__ = [
     "ok_response",
     "raise_structured",
     "read_frame",
-    "render_bench_serve",
-    "run_bench_serve",
-    "run_closed_loop",
-    "run_open_loop",
-    "run_tcp_load",
     "serve_stdio",
     "serve_tcp",
     "start_tcp_server",
-    "validate_bench_serve",
     "wheel_digest",
 ]

@@ -145,17 +145,19 @@ class RuntimeDistribution:
         """``E[min of workers iid copies]`` — the multi-walk runtime.
 
         With ``S`` the survival function, ``Pr[min > v] = S(v)**W``; the
-        expectation telescopes over the support as
-        ``sum_j v_j * (S_{j-1}**W - S_j**W)``, each power taken as
-        ``exp(W * log S)`` so deep tails never underflow to a wrong
-        zero-probability step.
+        expectation is the tail sum over the support (whose last point
+        has ``S = 0``, as both constructors build it)
+        ``v_0 + sum_{j>=1} (v_j - v_{j-1}) * S_{j-1}**W``, each power
+        taken as ``exp(W * log S)`` so deep tails never underflow to a
+        wrong zero-probability step.  Tied support points contribute an
+        exact zero gap, so a point mass returns its value for every
+        ``W`` even when that value is subnormal (weighting each value by
+        its probability step would round it).
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        lsf = np.concatenate(([0.0], float(workers) * self.log_sf))
-        p = np.exp(lsf)
-        step = p[:-1] - p[1:]
-        return float(np.dot(self.values, step))
+        sf_before = np.exp(float(workers) * self.log_sf[:-1])
+        return float(self.values[0] + np.dot(np.diff(self.values), sf_before))
 
     def mean(self) -> float:
         """``E[T]`` (the one-copy expectation)."""
